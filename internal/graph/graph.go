@@ -135,64 +135,106 @@ func (g *CSR) TotalWeight() float64 {
 // disambiguates them. Endpoints must be < n. The input slice is retained as
 // the canonical edge list (with self-loops compacted away); callers must not
 // modify it afterwards.
+//
+// The build is deterministic. The edge list is cut into contiguous chunks,
+// and one pass per chunk checks its edges and counts them into the chunk's
+// own degree row. Summed across the chunks per vertex, the rows give the
+// offsets; their exclusive prefix sums, plus the vertex's offset, give each
+// chunk its own arc cursors, which start where the previous chunk's arcs of
+// that vertex end. The chunks then scatter concurrently, without atomics,
+// and every vertex's arcs come out in edge-list order: the sequential
+// fill's arc order, for any p.
 func FromEdges(p, n int, edges []Edge, opts ...BuildOption) (*CSR, error) {
 	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	p = par.Workers(p)
-	// Validate endpoints and drop self-loops.
-	bad := par.CountTrue(p, len(edges), func(i int) bool {
-		e := edges[i]
-		return int(e.U) >= n || int(e.V) >= n || e.W < 0 || e.W != e.W ||
-			math.IsInf(float64(e.W), 0)
-	})
-	if bad > 0 {
-		return nil, fmt.Errorf("graph: %d edges with out-of-range endpoints or invalid weights (n=%d)", bad, n)
+	// One chunk below 2^15 edges; above, one per worker, but no more than
+	// the average degree, so the rows (chunks·n counters) stay within 2m.
+	m0 := len(edges)
+	chunks := 1
+	if p > 1 && m0 >= 1<<15 {
+		chunks = max(1, min(p, 2*m0/max(n, 1)))
 	}
-	loops := par.CountTrue(p, len(edges), func(i int) bool { return edges[i].U == edges[i].V })
-	if loops > 0 {
-		keep := make([]bool, len(edges))
-		par.ForEach(p, len(edges), 8192, func(i int) { keep[i] = edges[i].U != edges[i].V })
-		edges = par.Pack(p, edges, keep)
-	}
-	m := len(edges)
-	g := &CSR{n: n, edges: edges}
-	// Degree histogram.
-	deg := make([]int64, n+1)
-	if p == 1 || m < 1<<15 {
-		for _, e := range edges {
-			deg[e.U]++
-			deg[e.V]++
+	chunk := func(c int) []Edge { return edges[c*m0/chunks : (c+1)*m0/chunks] }
+	rows := make([]int64, chunks*n)
+	bad := make([]int, chunks)
+	loops := make([]int, chunks)
+	par.ForEach(p, chunks, 1, func(c int) {
+		row := rows[c*n : (c+1)*n]
+		nbad, nloops := 0, 0
+		for _, e := range chunk(c) {
+			switch {
+			// NaN fails both weight comparisons, ±Inf and negatives one.
+			case int(e.U) >= n || int(e.V) >= n || !(e.W >= 0 && e.W <= math.MaxFloat32):
+				nbad++
+			case e.U == e.V:
+				nloops++
+			default:
+				row[e.U]++
+				row[e.V]++
+			}
 		}
-	} else {
-		degAtomic := make([]int32, n)
-		par.ForEach(p, m, 8192, func(i int) {
-			e := edges[i]
-			atomicAdd32(&degAtomic[e.U])
-			atomicAdd32(&degAtomic[e.V])
-		})
-		par.ForEach(p, n, 8192, func(v int) { deg[v] = int64(degAtomic[v]) })
+		bad[c], loops[c] = nbad, nloops
+	})
+	// first[c] is the canonical id of chunk c's first kept edge.
+	first := make([]uint32, chunks)
+	nbad, dropped := 0, 0
+	for c := range bad {
+		nbad += bad[c]
+		first[c] = uint32(c*m0/chunks - dropped)
+		dropped += loops[c]
 	}
-	total := par.ExclusiveScan(p, deg[:n])
-	deg[n] = total
-	g.offsets = deg
-	g.targets = make([]uint32, 2*m)
-	g.weights = make([]float32, 2*m)
-	g.eids = make([]uint32, 2*m)
-	// Fill arcs. Use a per-vertex cursor; sequential fill is simplest and
-	// the builders are not on the measured path (the harness builds once,
-	// runs many trials).
-	cursor := make([]int64, n)
-	copy(cursor, g.offsets[:n])
-	for i, e := range edges {
-		a := cursor[e.U]
-		cursor[e.U]++
-		g.targets[a], g.weights[a], g.eids[a] = e.V, e.W, uint32(i)
-		b := cursor[e.V]
-		cursor[e.V]++
-		g.targets[b], g.weights[b], g.eids[b] = e.U, e.W, uint32(i)
+	if nbad > 0 {
+		return nil, fmt.Errorf("graph: %d edges with out-of-range endpoints or invalid weights (n=%d)", nbad, n)
 	}
+	kept := edges
+	if dropped > 0 {
+		kept = make([]Edge, m0-dropped)
+	}
+	m := len(kept)
+	offsets := make([]int64, n+1)
+	par.For(p, n, 8192, func(lo, hi int) {
+		for c := 0; c < chunks; c++ {
+			row := rows[c*n : (c+1)*n]
+			for v := lo; v < hi; v++ {
+				row[v], offsets[v] = offsets[v], offsets[v]+row[v]
+			}
+		}
+	})
+	offsets[n] = par.ExclusiveScan(p, offsets[:n])
+	par.For(p, n, 8192, func(lo, hi int) {
+		for c := 0; c < chunks; c++ {
+			row := rows[c*n : (c+1)*n]
+			for v := lo; v < hi; v++ {
+				row[v] += offsets[v]
+			}
+		}
+	})
+	g := &CSR{
+		n: n, offsets: offsets, edges: kept,
+		targets: make([]uint32, 2*m), weights: make([]float32, 2*m), eids: make([]uint32, 2*m),
+	}
+	par.ForEach(p, chunks, 1, func(c int) {
+		cursor := rows[c*n : (c+1)*n]
+		id := first[c]
+		for _, e := range chunk(c) {
+			if e.U == e.V {
+				continue
+			}
+			a := cursor[e.U]
+			cursor[e.U]++
+			g.targets[a], g.weights[a], g.eids[a] = e.V, e.W, id
+			b := cursor[e.V]
+			cursor[e.V]++
+			g.targets[b], g.weights[b], g.eids[b] = e.U, e.W, id
+			if dropped > 0 {
+				kept[id] = e
+			}
+			id++
+		}
+	})
 	if cfg.sortAdj {
 		par.ForEach(p, n, 64, func(v int) {
 			lo, hi := g.offsets[v], g.offsets[v+1]

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -15,12 +16,27 @@ import (
 //   - DIMACS shortest-path format (".gr"), the format the 9th DIMACS
 //     challenge distributes USA-road-d.* in — the paper's road dataset.
 //     Text, one "a u v w" line per directed arc, 1-based vertices.
-//   - A compact binary format (".llpg") for fast reload of generated
-//     benchmark graphs: little-endian magic/version/n/m header followed by
-//     m (u, v uint32, w float32) records.
+//   - A compact binary format (".llpg"), mstserve's upload format and the
+//     reload format of generated benchmark graphs. Every word is a
+//     little-endian uint32: a 16-byte header (magic "LLPG", which reads
+//     "GPLL" as bytes; version 1; n; m), then m 12-byte records (u, v, the
+//     IEEE-754 bits of the float32 weight) in canonical edge-id order.
+//     WriteBinary and ReadBinary move the records through one reused chunk
+//     buffer with binary.LittleEndian word loops; encoding/binary's
+//     reflection path is never taken.
 
 const binMagic = 0x4c4c5047 // "LLPG"
 const binVersion = 1
+
+const (
+	binHeaderBytes = 16
+	binEdgeBytes   = 12
+	// binChunkEdges records fill the chunk buffer.
+	binChunkEdges = 1 << 16
+	// binPreallocEdges bounds the edge-list capacity ReadBinary allocates
+	// before any record arrives.
+	binPreallocEdges = 1 << 20
+)
 
 // MaxParseVertices bounds the vertex count a parsed file may declare, so a
 // corrupt or hostile header cannot force a huge allocation before any edge
@@ -159,47 +175,57 @@ func ReadDIMACS(p int, r io.Reader) (*CSR, error) {
 
 // WriteBinary writes g in the compact binary format.
 func WriteBinary(w io.Writer, g *CSR) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint32{binMagic, binVersion, uint32(g.NumVertices()), uint32(g.NumEdges())}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
+	le := binary.LittleEndian
+	buf := make([]byte, 0, binHeaderBytes+min(g.NumEdges(), binChunkEdges)*binEdgeBytes)
+	buf = le.AppendUint32(buf, binMagic)
+	buf = le.AppendUint32(buf, binVersion)
+	buf = le.AppendUint32(buf, uint32(g.NumVertices()))
+	buf = le.AppendUint32(buf, uint32(g.NumEdges()))
+	for _, e := range g.Edges() {
+		if len(buf)+binEdgeBytes > cap(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = le.AppendUint32(buf, e.U)
+		buf = le.AppendUint32(buf, e.V)
+		buf = le.AppendUint32(buf, math.Float32bits(e.W))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Edges()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadBinary reads a graph written by WriteBinary, building the CSR with p
 // workers.
 func ReadBinary(p int, r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [4]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	var hdr [binHeaderBytes]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("binary graph: short header: %w", err)
 	}
-	if hdr[0] != binMagic {
-		return nil, fmt.Errorf("binary graph: bad magic %#x", hdr[0])
+	le := binary.LittleEndian
+	if magic := le.Uint32(hdr[0:]); magic != binMagic {
+		return nil, fmt.Errorf("binary graph: bad magic %#x", magic)
 	}
-	if hdr[1] != binVersion {
-		return nil, fmt.Errorf("binary graph: unsupported version %d", hdr[1])
+	if version := le.Uint32(hdr[4:]); version != binVersion {
+		return nil, fmt.Errorf("binary graph: unsupported version %d", version)
 	}
-	n, m := int(hdr[2]), int(hdr[3])
+	n, m := int(le.Uint32(hdr[8:])), int(le.Uint32(hdr[12:]))
 	if err := checkParseSize("binary graph", n); err != nil {
 		return nil, err
 	}
-	// Read the edge list in bounded chunks so a corrupt header cannot force
-	// one huge allocation before any data arrives.
-	const chunk = 1 << 20
-	edges := make([]Edge, 0, min(m, chunk))
-	for read := 0; read < m; {
-		batch := min(m-read, chunk)
-		buf := make([]Edge, batch)
-		if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
+	// The edge list grows as records arrive, from a bounded capacity, so a
+	// corrupt header cannot force one huge allocation before any data does.
+	edges := make([]Edge, 0, min(m, binPreallocEdges))
+	buf := make([]byte, min(m, binChunkEdges)*binEdgeBytes)
+	for len(edges) < m {
+		b := buf[:min(m-len(edges), binChunkEdges)*binEdgeBytes]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, fmt.Errorf("binary graph: short edge list: %w", err)
 		}
-		edges = append(edges, buf...)
-		read += batch
+		for ; len(b) > 0; b = b[binEdgeBytes:] {
+			edges = append(edges, Edge{U: le.Uint32(b), V: le.Uint32(b[4:]), W: math.Float32frombits(le.Uint32(b[8:]))})
+		}
 	}
 	return loadEdges(p, n, edges)
 }

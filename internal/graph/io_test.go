@@ -2,8 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -196,6 +200,95 @@ func TestBinaryRejectsCorruptHeader(t *testing.T) {
 	data[4] = 1
 	if _, err := ReadBinary(1, bytes.NewReader(data[:len(data)-4])); err == nil {
 		t.Fatal("accepted truncated edge list")
+	}
+}
+
+// TestBinaryGoldenBytes pins the .llpg format: a fixed graph must encode to
+// exactly these bytes (header magic, version, n, m; then u, v and the
+// weight's float32 bits per record; all little-endian uint32) and read back
+// to the same edge list.
+func TestBinaryGoldenBytes(t *testing.T) {
+	const golden = "47504c4c" + "01000000" + "04000000" + "04000000" +
+		"00000000" + "01000000" + "0000803f" +
+		"02000000" + "01000000" + "00002040" +
+		"03000000" + "02000000" + "00000000" +
+		"00000000" + "03000000" + "0000e040"
+	g := MustFromEdges(1, 4, []Edge{{0, 1, 1}, {2, 1, 2.5}, {3, 2, 0}, {0, 3, 7}})
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("encoding changed:\n got %s\nwant %s", got, golden)
+	}
+	data, _ := hex.DecodeString(golden)
+	g2, err := ReadBinary(1, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.NumVertices() != 4 || !slices.Equal(g2.Edges(), g.Edges()) {
+		t.Fatalf("read back n=%d edges %v, want n=4 edges %v", g2.NumVertices(), g2.Edges(), g.Edges())
+	}
+}
+
+// gpll hand-encodes a binary graph file whose header declares n vertices
+// and m records, followed by recs (which need not number m).
+func gpll(n, m uint32, recs ...Edge) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, binMagic)
+	b = le.AppendUint32(b, binVersion)
+	b = le.AppendUint32(b, n)
+	b = le.AppendUint32(b, m)
+	for _, e := range recs {
+		b = le.AppendUint32(b, e.U)
+		b = le.AppendUint32(b, e.V)
+		b = le.AppendUint32(b, math.Float32bits(e.W))
+	}
+	return b
+}
+
+func TestReadBinaryRejectsBadRecords(t *testing.T) {
+	inf := float32(math.Inf(1))
+	bad := map[string]Edge{
+		"out-of-range endpoint": {0, 4, 1},
+		"NaN weight":            {0, 1, float32(math.NaN())},
+		"+Inf weight":           {0, 1, inf},
+		"-Inf weight":           {0, 1, -inf},
+		"negative weight":       {0, 1, -1},
+	}
+	full := gpll(4, 2, Edge{0, 1, 1}, Edge{1, 2, 1})
+	cases := map[string][]byte{
+		"trailing partial record":  full[:len(full)-6],
+		"n above MaxParseVertices": gpll(uint32(MaxParseVertices)+1, 0),
+	}
+	// Each bad record alone, and after 2^15 good ones, so the parallel
+	// builder checks it in its last chunk.
+	good := make([]Edge, 1<<15)
+	for i := range good {
+		good[i] = Edge{U: uint32(i % 4), V: uint32((i + 1) % 4), W: float32(i)}
+	}
+	for name, e := range bad {
+		cases[name] = gpll(4, 1, e)
+		long := append(slices.Clone(good), e)
+		cases[name+" after 2^15 good records"] = gpll(4, uint32(len(long)), long...)
+	}
+	for name, data := range cases {
+		for _, p := range []int{1, 2, 8} {
+			if g, err := ReadBinary(p, bytes.NewReader(data)); err == nil {
+				t.Errorf("%s, p=%d: accepted as n=%d m=%d", name, p, g.NumVertices(), g.NumEdges())
+			}
+		}
+	}
+	// Self-loops are not errors: the builder drops them.
+	loops := gpll(3, 2, Edge{1, 1, 5}, Edge{0, 0, 1})
+	for _, p := range []int{1, 2, 8} {
+		g, err := ReadBinary(p, bytes.NewReader(loops))
+		if err != nil {
+			t.Fatalf("self-loop-only file, p=%d: %v", p, err)
+		}
+		if g.NumVertices() != 3 || g.NumEdges() != 0 {
+			t.Fatalf("self-loop-only file, p=%d: n=%d m=%d, want 3, 0", p, g.NumVertices(), g.NumEdges())
+		}
 	}
 }
 

@@ -3,10 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
-
-func atomicAdd32(addr *int32) { atomic.AddInt32(addr, 1) }
 
 // Components labels the connected components of g with a sequential BFS and
 // returns (labels, count). Labels are component-root vertex ids, so two

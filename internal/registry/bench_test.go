@@ -1,14 +1,44 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"llpmst/internal/gen"
+	"llpmst/internal/graph"
 	"llpmst/internal/resilient"
 )
+
+// BenchmarkDecodeBinary measures upload ingest — Decode's format sniff,
+// ReadBinary and the validated CSR build at the default worker count — on
+// two of the graphs mstserve's cold-solve traffic uploads at scale s.
+func BenchmarkDecodeBinary(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"road256", gen.RoadNetwork(0, 256, 256, 0.2, 1)},
+		{"rmat14", gen.RMAT(0, 14, 16, gen.WeightUniform, 1)},
+	} {
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, c.g); err != nil {
+			b.Fatal(err)
+		}
+		data := buf.Bytes()
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(0, bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // The hot-graph benchmarks quantify what the result cache buys: the same
 // registered graph solved repeatedly from parallel clients, once with the
