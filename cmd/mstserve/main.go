@@ -261,7 +261,6 @@ func run(args []string, stdout io.Writer) error {
 			sync:          syncPolicy,
 			syncInterval:  *streamSyncInt,
 			snapshotEvery: *snapshotEvery,
-			workers:       *workers,
 			recoverHold:   *recoverHold,
 			replica:       rcfg,
 		},
@@ -379,9 +378,6 @@ func newServer(cfg serverConfig) *server {
 	})
 	scfg := cfg.streams
 	scfg.observer = flight
-	if scfg.workers == 0 {
-		scfg.workers = cfg.workers
-	}
 	traces := obs.NewTraceStore(obs.TraceStoreConfig{
 		Capacity:   cfg.traceCap,
 		SpanCap:    cfg.traceSpans,

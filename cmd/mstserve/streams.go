@@ -27,7 +27,6 @@ type streamConfig struct {
 	sync          stream.SyncPolicy
 	syncInterval  time.Duration
 	snapshotEvery int
-	workers       int
 	// recoverHold artificially stretches startup recovery so drills can
 	// observe the 503 "recovering" health window.
 	recoverHold time.Duration
@@ -128,7 +127,6 @@ func (m *streamManager) engineConfig(id string, vertices int) stream.Config {
 		Sync:          m.cfg.sync,
 		SyncInterval:  m.cfg.syncInterval,
 		SnapshotEvery: m.cfg.snapshotEvery,
-		Workers:       m.cfg.workers,
 		Observer:      m.cfg.observer,
 	}
 	if m.cfg.dir != "" {
@@ -302,7 +300,6 @@ type streamInfoReply struct {
 	Batches     uint64  `json:"batches"`
 	Duplicates  uint64  `json:"duplicates"`
 	Swaps       uint64  `json:"swaps"`
-	Recomputes  uint64  `json:"recomputes"`
 	Snapshots   uint64  `json:"snapshots"`
 
 	Recovery    *stream.RecoveryReport `json:"recovery,omitempty"`
@@ -325,7 +322,6 @@ func (s *server) streamInfo(id string, e *stream.Engine) streamInfoReply {
 		Batches:     st.Batches,
 		Duplicates:  st.Duplicates,
 		Swaps:       st.Swaps,
-		Recomputes:  st.Recomputes,
 		Snapshots:   st.Snapshots,
 		Recovery:    rep,
 		Replication: s.streams.replicationInfo(id),
@@ -560,7 +556,6 @@ func writeStreamMetrics(w io.Writer, m *streamManager) {
 			{"weight", st.Weight},
 			{"last_batch", float64(st.LastBatch)},
 			{"batches", float64(st.Batches)},
-			{"recomputes", float64(st.Recomputes)},
 			{"snapshots", float64(st.Snapshots)},
 		} {
 			fmt.Fprintf(w, "llpmst_stream_gauge{stream=\"%s\",kind=%q} %g\n", esc, kv.kind, kv.v)

@@ -82,12 +82,10 @@ const (
 	CtrQuotaShed
 	// CtrStreamBatch counts update batches applied by a streaming engine.
 	CtrStreamBatch
-	// CtrStreamSwap counts forest edge replacements (an insert evicting a
-	// heavier cycle edge, or a delete relinking across the cut).
+	// CtrStreamSwap counts forest edge replacements: an insert evicting a
+	// heavier cycle edge, or a forest-edge delete relinking the minimum
+	// crossing edge found by its exact scan of the smaller side.
 	CtrStreamSwap
-	// CtrStreamRecompute counts deletes that exceeded the replacement-scan
-	// budget and fell back to recomputing the affected component.
-	CtrStreamRecompute
 	// CtrWALAppend counts records appended to a write-ahead log.
 	CtrWALAppend
 	// CtrWALFsync counts fsync calls issued by a write-ahead log.
@@ -195,8 +193,6 @@ func (c Counter) String() string {
 		return "stream.batch"
 	case CtrStreamSwap:
 		return "stream.swap"
-	case CtrStreamRecompute:
-		return "stream.recompute"
 	case CtrWALAppend:
 		return "wal.append"
 	case CtrWALFsync:

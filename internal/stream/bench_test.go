@@ -65,8 +65,10 @@ func BenchmarkApplyMixedWALOff(b *testing.B)  { benchApply(b, 1<<14, 16, true, S
 func BenchmarkApplyMixedWALSync(b *testing.B) { benchApply(b, 1<<14, 16, true, SyncAlways, true) }
 
 // TestBatchLatencyReport prints the batch-apply latency table that
-// EXPERIMENTS.md quotes: p50/p95/p99 per batch size, insert-only vs mixed.
-// Gated behind LLPMST_LATENCY=1 so normal test runs stay fast.
+// EXPERIMENTS.md quotes: p50/p95/p99 per batch size, insert-only vs mixed,
+// plus the bridge-churn adversary (bridgedGrids), whose every batch cuts a
+// 4096-vertex side off. Gated behind LLPMST_LATENCY=1 so normal test runs
+// stay fast.
 func TestBatchLatencyReport(t *testing.T) {
 	if os.Getenv("LLPMST_LATENCY") != "1" {
 		t.Skip("set LLPMST_LATENCY=1 to run the latency harness")
@@ -76,6 +78,22 @@ func TestBatchLatencyReport(t *testing.T) {
 		i := int(q * float64(len(d)-1))
 		return d[i]
 	}
+	// report applies script as batches first, first+1, ... and prints one
+	// table row of their latencies.
+	report := func(size int, kind string, e *Engine, first uint64, script [][]Op) {
+		lat := make([]time.Duration, 0, len(script))
+		for i, ops := range script {
+			start := time.Now()
+			if _, err := e.Apply(Batch{ID: first + uint64(i), Ops: ops}); err != nil {
+				t.Fatal(err)
+			}
+			lat = append(lat, time.Since(start))
+		}
+		e.Close()
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		fmt.Printf("| %d | %s | %v | %v | %v |\n",
+			size, kind, quantile(lat, 0.50), quantile(lat, 0.95), quantile(lat, 0.99))
+	}
 	fmt.Printf("| batch size | workload | p50 | p95 | p99 |\n")
 	fmt.Printf("|---:|---|---:|---:|---:|\n")
 	for _, size := range []int{1, 16, 256} {
@@ -84,27 +102,29 @@ func TestBatchLatencyReport(t *testing.T) {
 			batches = 20000
 		}
 		for _, mixed := range []bool{false, true} {
-			script := benchOps(n, batches, size, mixed, 7)
-			e, _, err := Open(Config{Vertices: n, Sync: SyncOff, Workers: 2})
+			e, _, err := Open(Config{Vertices: n, Sync: SyncOff})
 			if err != nil {
 				t.Fatal(err)
 			}
-			lat := make([]time.Duration, 0, batches)
-			for i, ops := range script {
-				start := time.Now()
-				if _, err := e.Apply(Batch{ID: uint64(i + 1), Ops: ops}); err != nil {
-					t.Fatal(err)
-				}
-				lat = append(lat, time.Since(start))
-			}
-			e.Close()
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 			kind := "insert-only"
 			if mixed {
 				kind = "mixed (1/3 delete)"
 			}
-			fmt.Printf("| %d | %s | %v | %v | %v |\n",
-				size, kind, quantile(lat, 0.50), quantile(lat, 0.95), quantile(lat, 0.99))
+			report(size, kind, e, 1, benchOps(n, batches, size, mixed, 7))
 		}
 	}
+
+	bn, build, b := bridgedGrids(64, 7)
+	e, _, err := Open(Config{Vertices: bn, Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Apply(Batch{ID: 1, Ops: build}); err != nil {
+		t.Fatal(err)
+	}
+	script := make([][]Op, 2000)
+	for i := range script {
+		script[i] = []Op{del(b.U, b.V, b.W), ins(b.U, b.V, b.W)}
+	}
+	report(2, "bridge churn (two 64² grids)", e, 2, script)
 }

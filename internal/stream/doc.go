@@ -3,15 +3,18 @@
 //
 // The Engine converts the repo's solve-from-scratch algorithms into a
 // serve-a-living-graph service: inserts go through the cycle-property
-// incremental structure (mst.Incremental), deletes cut the forest edge and
-// relink across the cut with the minimum crossing edge (the classic cut
-// property, under the same packed (weight, id) canonical order every batch
-// algorithm uses), and deletes whose replacement scan exceeds a budget fall
-// back to a bounded recompute of just the affected component — parallel
-// Boruvka when the component is large enough to pay for workers. After
-// every batch the maintained forest is exactly the canonical MSF of the
-// live edge set; the tests cross-check against a from-scratch Kruskal
-// oracle after every batch.
+// incremental structure (mst.Incremental), and deletes of forest edges cut
+// the tree and relink across the cut with the minimum crossing edge (the
+// classic cut property, under the same packed (weight, id) canonical order
+// every batch algorithm uses). A lockstep BFS from both endpoints of the
+// cut enumerates the smaller side, and every crossing edge has an endpoint
+// there, so scanning that side's live incidences always finds the exact
+// replacement. A delete therefore costs O(live incidences of the smaller
+// side), with no fallback and no allocation: each incidence stores its far
+// endpoint, so the scan never consults the live-edge map. After every
+// batch the maintained forest is exactly the canonical MSF of the live edge
+// set; the tests cross-check against a from-scratch Kruskal oracle after
+// every batch.
 //
 // Durability is write-ahead logging plus compacted snapshots:
 //

@@ -84,7 +84,6 @@ type ApplyResult struct {
 	Deleted     int     `json:"deleted"`
 	Noops       int     `json:"noops"`
 	Swaps       int     `json:"swaps"`
-	Recomputes  int     `json:"recomputes"`
 	ForestEdges int     `json:"forest_edges"`
 	Trees       int     `json:"trees"`
 	Weight      float64 `json:"weight"`
@@ -121,12 +120,15 @@ type RecoveryReport struct {
 // EngineStats is a snapshot of an engine's lifetime counters and current
 // forest shape.
 type EngineStats struct {
-	Batches     uint64
-	Duplicates  uint64
-	Inserts     uint64
-	Deletes     uint64
-	Noops       uint64
-	Swaps       uint64
+	Batches    uint64
+	Duplicates uint64
+	Inserts    uint64
+	Deletes    uint64
+	Noops      uint64
+	Swaps      uint64
+	// Deprecated: always 0. Every delete finishes its exact replacement
+	// scan, so nothing is recomputed; the field stays only so that
+	// existing callers (the benchmark module) still compile.
 	Recomputes  uint64
 	Snapshots   uint64
 	LiveEdges   int
@@ -174,17 +176,10 @@ type Config struct {
 	// SnapshotEvery compacts the WAL into a snapshot every that many
 	// batches; 0 disables automatic snapshots.
 	SnapshotEvery int
-	// Workers bounds the parallel recompute fallback; <= 0 means
-	// GOMAXPROCS.
+	// Deprecated: unused. The engine runs no parallel work; the field
+	// stays only so that existing callers (the benchmark module) still
+	// compile.
 	Workers int
-	// ReplaceScanBudget is how many live-edge incidences a delete's
-	// replacement search may scan before falling back to recomputing the
-	// affected component (default 4096).
-	ReplaceScanBudget int
-	// RecomputeParallelEdges is the component edge count at which the
-	// recompute fallback switches from sequential Kruskal to parallel
-	// Boruvka (default 4096).
-	RecomputeParallelEdges int
 	// Observer receives stream counters and per-batch round marks. Only
 	// counters and round marks are emitted, so a shared FlightRecorder is
 	// safe even with concurrent solves elsewhere.
@@ -221,8 +216,8 @@ type Engine struct {
 
 	inc       *mst.Incremental
 	live      map[uint64][2]uint32 // packed key -> endpoints, all live edges
-	adj       [][]uint64           // per-vertex live incident keys
-	forestAdj [][]uint64           // per-vertex forest incident keys
+	adj       [][]arc              // per-vertex live incidences
+	forestAdj [][]arc              // per-vertex forest incidences
 	nextID    uint32
 
 	lastBatch uint64 // high-water applied batch ID
@@ -248,6 +243,13 @@ type Engine struct {
 	stats EngineStats
 }
 
+// arc is one incidence of an edge: its packed key and its far endpoint, so
+// traversals never look endpoints up in the live map.
+type arc struct {
+	key uint64
+	to  uint32
+}
+
 // Open creates or recovers the engine for cfg. With a durability directory
 // it loads the latest valid snapshot, replays the WAL above its high-water
 // mark, truncates any torn tail, and reports what it did; without one it
@@ -256,19 +258,13 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	if cfg.Vertices <= 0 {
 		return nil, nil, fmt.Errorf("stream: vertex count %d must be positive", cfg.Vertices)
 	}
-	if cfg.ReplaceScanBudget <= 0 {
-		cfg.ReplaceScanBudget = 4096
-	}
-	if cfg.RecomputeParallelEdges <= 0 {
-		cfg.RecomputeParallelEdges = 4096
-	}
 	e := &Engine{
 		cfg:       cfg,
 		n:         cfg.Vertices,
 		inc:       mst.NewIncremental(cfg.Vertices),
 		live:      make(map[uint64][2]uint32),
-		adj:       make([][]uint64, cfg.Vertices),
-		forestAdj: make([][]uint64, cfg.Vertices),
+		adj:       make([][]arc, cfg.Vertices),
+		forestAdj: make([][]arc, cfg.Vertices),
 		col:       obs.Or(cfg.Observer),
 		mark:      make([]uint32, cfg.Vertices),
 	}
@@ -355,8 +351,7 @@ func (e *Engine) restoreSnapshot(snap snapshotState) error {
 	for i, se := range snap.Edges {
 		key := par.PackKey(se.W, uint32(i))
 		e.live[key] = [2]uint32{se.U, se.V}
-		e.adj[se.U] = append(e.adj[se.U], key)
-		e.adj[se.V] = append(e.adj[se.V], key)
+		addArcs(e.adj, se.U, se.V, key)
 		if !se.Forest {
 			continue
 		}
@@ -368,8 +363,7 @@ func (e *Engine) restoreSnapshot(snap snapshotState) error {
 			return fmt.Errorf("%w: edge %d flagged as forest but does not link two trees",
 				ErrCorruptSnapshot, i)
 		}
-		e.forestAdj[se.U] = append(e.forestAdj[se.U], key)
-		e.forestAdj[se.V] = append(e.forestAdj[se.V], key)
+		addArcs(e.forestAdj, se.U, se.V, key)
 	}
 	e.nextID = uint32(len(snap.Edges))
 	return nil
@@ -411,8 +405,8 @@ func (e *Engine) Apply(b Batch) (ApplyResult, error) {
 // ApplyCtx is Apply with a context whose trace ref (obs.ContextWithTrace),
 // if any, records the commit as a "stream.apply" span with "stream.wal.append",
 // "stream.wal.fsync", and "stream.snapshot" children — so a slow update
-// request is attributable to validation, the disk, or an incremental
-// recompute. The context is otherwise unused: batch commit is not
+// request is attributable to validation, the disk, or forest maintenance.
+// The context is otherwise unused: batch commit is not
 // cancellable midway (the WAL append is the durability point).
 func (e *Engine) ApplyCtx(ctx context.Context, b Batch) (ApplyResult, error) {
 	sp := obs.TraceRefFromContext(ctx).Start("stream.apply")
@@ -425,7 +419,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, b Batch) (ApplyResult, error) {
 			sp.SetAttr("outcome", "duplicate")
 		case err == nil:
 			sp.SetAttr("outcome", "ok")
-			sp.SetInt("recomputes", int64(res.Recomputes))
 		case errors.As(err, new(*BatchError)):
 			sp.SetAttr("outcome", "rejected")
 		default:
@@ -556,7 +549,6 @@ func (e *Engine) apply(ctx context.Context, sp obs.Span, b Batch) (ApplyResult, 
 		Deleted:     ost.deleted,
 		Noops:       ost.noops,
 		Swaps:       ost.swaps,
-		Recomputes:  ost.recomputes,
 		ForestEdges: e.inc.Edges(),
 		Trees:       e.inc.Trees(),
 		Weight:      e.inc.Weight(),
@@ -564,7 +556,7 @@ func (e *Engine) apply(ctx context.Context, sp obs.Span, b Batch) (ApplyResult, 
 }
 
 type opStats struct {
-	inserted, deleted, noops, swaps, recomputes int
+	inserted, deleted, noops, swaps int
 }
 
 // applyOps mutates the live set and forest for one validated batch.
@@ -592,7 +584,6 @@ func (e *Engine) applyOps(ops []Op) (opStats, error) {
 	e.stats.Deletes += uint64(st.deleted)
 	e.stats.Noops += uint64(st.noops)
 	e.stats.Swaps += uint64(st.swaps)
-	e.stats.Recomputes += uint64(st.recomputes)
 	return st, nil
 }
 
@@ -600,18 +591,17 @@ func (e *Engine) applyInsert(u, v uint32, w float32, st *opStats) error {
 	key := par.PackKey(w, e.nextID)
 	e.nextID++
 	e.live[key] = [2]uint32{u, v}
-	e.adj[u] = append(e.adj[u], key)
-	e.adj[v] = append(e.adj[v], key)
+	addArcs(e.adj, u, v, key)
 	added, evicted, hadEvict, err := e.inc.InsertKeyed(u, v, key)
 	if err != nil {
 		return err
 	}
 	if added {
-		e.forestAdj[u] = append(e.forestAdj[u], key)
-		e.forestAdj[v] = append(e.forestAdj[v], key)
+		addArcs(e.forestAdj, u, v, key)
 	}
 	if hadEvict {
-		e.forestAdjRemove(evicted)
+		ends := e.live[evicted]
+		removeArcs(e.forestAdj, ends[0], ends[1], evicted)
 		st.swaps++
 		e.col.Count(obs.CtrStreamSwap, 1)
 	}
@@ -642,17 +632,12 @@ func (e *Engine) findLive(u, v uint32, w float32) (uint64, bool) {
 	}
 	best := ^uint64(0)
 	found := false
-	for _, k := range e.adj[from] {
-		ends := e.live[k]
-		o := ends[0]
-		if o == from {
-			o = ends[1]
-		}
-		if o != other || par.KeyWeight(k) != w {
+	for _, a := range e.adj[from] {
+		if a.to != other || par.KeyWeight(a.key) != w {
 			continue
 		}
-		if k < best {
-			best, found = k, true
+		if a.key < best {
+			best, found = a.key, true
 		}
 	}
 	return best, found
@@ -662,21 +647,27 @@ func (e *Engine) findLive(u, v uint32, w float32) (uint64, bool) {
 func (e *Engine) dropLive(key uint64) {
 	ends := e.live[key]
 	delete(e.live, key)
-	e.adj[ends[0]] = removeKey(e.adj[ends[0]], key)
-	e.adj[ends[1]] = removeKey(e.adj[ends[1]], key)
+	removeArcs(e.adj, ends[0], ends[1], key)
 }
 
-// forestAdjRemove removes key from both forest incidence lists.
-func (e *Engine) forestAdjRemove(key uint64) {
-	ends := e.live[key]
-	e.forestAdj[ends[0]] = removeKey(e.forestAdj[ends[0]], key)
-	e.forestAdj[ends[1]] = removeKey(e.forestAdj[ends[1]], key)
+// addArcs records the edge (u, v) with the given key in both endpoints'
+// incidence lists.
+func addArcs(lists [][]arc, u, v uint32, key uint64) {
+	lists[u] = append(lists[u], arc{key, v})
+	lists[v] = append(lists[v], arc{key, u})
 }
 
-// removeKey swap-deletes the first occurrence of key.
-func removeKey(list []uint64, key uint64) []uint64 {
-	for i, k := range list {
-		if k == key {
+// removeArcs swap-deletes the edge with the given key from both endpoints'
+// incidence lists.
+func removeArcs(lists [][]arc, u, v uint32, key uint64) {
+	lists[u] = removeArc(lists[u], key)
+	lists[v] = removeArc(lists[v], key)
+}
+
+// removeArc swap-deletes the first arc carrying key.
+func removeArc(list []arc, key uint64) []arc {
+	for i, a := range list {
+		if a.key == key {
 			last := len(list) - 1
 			list[i] = list[last]
 			return list[:last]
@@ -685,43 +676,29 @@ func removeKey(list []uint64, key uint64) []uint64 {
 	return list
 }
 
-// deleteForestEdge cuts a forest edge and restores minimality: link the
-// minimum-key live edge crossing the cut (the canonical replacement under
-// the cut property), or — when the scan exceeds the budget — recompute the
-// affected component from scratch.
+// deleteForestEdge cuts a forest edge and restores minimality by linking
+// the minimum-key live edge crossing the cut — the canonical replacement
+// under the cut property. Every crossing edge has an endpoint on each
+// side, so the smaller side's incidences hold them all: the scan is
+// O(live incidences of the smaller side) and allocates nothing.
 func (e *Engine) deleteForestEdge(key uint64, st *opStats) error {
 	u, v, ok := e.inc.Cut(key)
 	if !ok {
 		return fmt.Errorf("stream: internal: forest edge %#x not cuttable", key)
 	}
-	e.forestAdjRemove(key)
+	removeArcs(e.forestAdj, u, v, key)
 	e.dropLive(key)
 
-	side, sideMark, otherRoot, otherMark := e.splitSides(u, v)
+	side, sideMark := e.splitSides(u, v)
 
-	// Scan the smaller side's live incidences for the cheapest crossing
-	// edge. Everything incident to this side stays within the old
-	// component, so "not marked ours" means "other side".
-	budget := e.cfg.ReplaceScanBudget
-	scanned := 0
+	// Everything incident to this side stays within the old component, so
+	// "not marked ours" means "other side".
 	best := ^uint64(0)
 	found := false
 	for _, x := range side {
-		for _, k := range e.adj[x] {
-			scanned++
-			if scanned > budget {
-				return e.recomputeComponent(side, otherRoot, otherMark, st)
-			}
-			ends := e.live[k]
-			o := ends[0]
-			if o == x {
-				o = ends[1]
-			}
-			if e.mark[o] == sideMark {
-				continue // internal to this side (or the far arc of an internal edge)
-			}
-			if k < best {
-				best, found = k, true
+		for _, a := range e.adj[x] {
+			if a.key < best && e.mark[a.to] != sideMark {
+				best, found = a.key, true
 			}
 		}
 	}
@@ -734,8 +711,7 @@ func (e *Engine) deleteForestEdge(key uint64, st *opStats) error {
 		if !added || hadEvict {
 			return fmt.Errorf("stream: internal: replacement %#x did not link cleanly", best)
 		}
-		e.forestAdj[ends[0]] = append(e.forestAdj[ends[0]], best)
-		e.forestAdj[ends[1]] = append(e.forestAdj[ends[1]], best)
+		addArcs(e.forestAdj, ends[0], ends[1], best)
 		st.swaps++
 		e.col.Count(obs.CtrStreamSwap, 1)
 	}
@@ -743,10 +719,11 @@ func (e *Engine) deleteForestEdge(key uint64, st *opStats) error {
 }
 
 // splitSides enumerates the two trees left by a cut with a lockstep BFS
-// from each endpoint over the forest adjacency, returning the side that
-// exhausted first (the smaller one, fully enumerated and marked with
-// sideMark) plus the other side's root and mark for completion on demand.
-func (e *Engine) splitSides(u, v uint32) (side []uint32, sideMark uint32, otherRoot uint32, otherMark uint32) {
+// from each endpoint over the forest adjacency and returns the side that
+// exhausted first — the smaller one, fully enumerated and marked with
+// sideMark. The lockstep bounds the work on the larger side by the smaller
+// side's size.
+func (e *Engine) splitSides(u, v uint32) (side []uint32, sideMark uint32) {
 	if e.markEpoch > ^uint32(0)-3 {
 		clear(e.mark)
 		e.markEpoch = 0
@@ -762,13 +739,13 @@ func (e *Engine) splitSides(u, v uint32) (side []uint32, sideMark uint32, otherR
 	for {
 		if ia >= len(qa) {
 			e.queueA, e.queueB = qa, qb
-			return qa, mu, v, mv
+			return qa, mu
 		}
 		qa = e.expand(qa, ia, mu)
 		ia++
 		if ib >= len(qb) {
 			e.queueA, e.queueB = qa, qb
-			return qb, mv, u, mu
+			return qb, mv
 		}
 		qb = e.expand(qb, ib, mv)
 		ib++
@@ -777,134 +754,19 @@ func (e *Engine) splitSides(u, v uint32) (side []uint32, sideMark uint32, otherR
 
 // expand processes queue[i]'s forest neighbors under mark m.
 func (e *Engine) expand(queue []uint32, i int, m uint32) []uint32 {
-	x := queue[i]
-	for _, k := range e.forestAdj[x] {
-		ends := e.live[k]
-		o := ends[0]
-		if o == x {
-			o = ends[1]
-		}
-		if e.mark[o] != m {
-			e.mark[o] = m
-			queue = append(queue, o)
+	for _, a := range e.forestAdj[queue[i]] {
+		if e.mark[a.to] != m {
+			e.mark[a.to] = m
+			queue = append(queue, a.to)
 		}
 	}
 	return queue
 }
 
-// recomputeComponent rebuilds the forest of the component that just lost
-// an edge: gather the component's vertices (both cut sides), collect its
-// live edges in canonical order, cut its current forest edges, and re-link
-// the MSF computed from scratch — parallel Boruvka when the component is
-// big enough to pay for workers, Kruskal otherwise.
-func (e *Engine) recomputeComponent(side []uint32, otherRoot uint32, otherMark uint32, st *opStats) error {
-	// Complete the other side's BFS (it was abandoned as the larger side).
-	other := e.otherQueue(side)
-	for i := 0; i < len(other); i++ {
-		other = e.expand(other, i, otherMark)
-	}
-	comp := make([]uint32, 0, len(side)+len(other))
-	comp = append(comp, side...)
-	comp = append(comp, other...)
-	e.storeOtherQueue(side, other)
-
-	// Live edges of the component, each collected once (at its first
-	// endpoint), then sorted ascending so local edge indices follow the
-	// canonical (weight, id) order and any MSF algorithm reproduces the
-	// canonical forest.
-	var keys []uint64
-	for _, x := range comp {
-		for _, k := range e.adj[x] {
-			if e.live[k][0] == x {
-				keys = append(keys, k)
-			}
-		}
-	}
-	slices.Sort(keys)
-
-	// Cut the component's surviving forest edges.
-	for _, x := range comp {
-		for _, k := range e.forestAdj[x] {
-			e.inc.Cut(k) // second endpoint's visit finds it already cut
-		}
-		e.forestAdj[x] = e.forestAdj[x][:0]
-	}
-
-	local := make(map[uint32]uint32, len(comp))
-	for i, x := range comp {
-		local[x] = uint32(i)
-	}
-	edges := make([]graph.Edge, len(keys))
-	for i, k := range keys {
-		ends := e.live[k]
-		edges[i] = graph.Edge{U: local[ends[0]], V: local[ends[1]], W: par.KeyWeight(k)}
-	}
-	workers := par.Workers(e.cfg.Workers)
-	sub, err := graph.FromEdges(workers, len(comp), edges)
-	if err != nil {
-		return fmt.Errorf("stream: internal: recompute subgraph: %w", err)
-	}
-	var forest *mst.Forest
-	if len(edges) >= e.cfg.RecomputeParallelEdges && workers > 1 {
-		forest, err = mst.ParallelBoruvka(sub, mst.Options{Workers: workers})
-		if err != nil {
-			forest = nil // fall through to Kruskal
-		}
-	}
-	if forest == nil {
-		forest = mst.Kruskal(sub)
-	}
-	for _, id := range forest.EdgeIDs {
-		k := keys[id]
-		ends := e.live[k]
-		added, _, hadEvict, err := e.inc.InsertKeyed(ends[0], ends[1], k)
-		if err != nil {
-			return err
-		}
-		if !added || hadEvict {
-			return fmt.Errorf("stream: internal: recomputed edge %#x did not link cleanly", k)
-		}
-		e.forestAdj[ends[0]] = append(e.forestAdj[ends[0]], k)
-		e.forestAdj[ends[1]] = append(e.forestAdj[ends[1]], k)
-	}
-	st.recomputes++
-	e.col.Count(obs.CtrStreamRecompute, 1)
-	return nil
-}
-
-// otherQueue returns whichever BFS scratch queue is not side, so the
-// abandoned larger-side traversal can resume where it stopped.
-func (e *Engine) otherQueue(side []uint32) []uint32 {
-	if &side[0] == &e.queueA[0] {
-		return e.queueB
-	}
-	return e.queueA
-}
-
-// storeOtherQueue writes the completed traversal back to its scratch slot.
-func (e *Engine) storeOtherQueue(side []uint32, other []uint32) {
-	if &side[0] == &e.queueA[0] {
-		e.queueB = other
-	} else {
-		e.queueA = other
-	}
-}
-
 // snapshotLocked writes a compacted snapshot and truncates the WAL.
 func (e *Engine) snapshotLocked() error {
-	st := snapshotState{HighWater: e.lastBatch, N: e.n}
-	keys := make([]uint64, 0, len(e.live))
-	for k := range e.live {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	st.Edges = make([]snapEdge, len(keys))
-	for i, k := range keys {
-		ends := e.live[k]
-		st.Edges[i] = snapEdge{U: ends[0], V: ends[1], W: par.KeyWeight(k), Forest: e.inc.HasEdge(k)}
-	}
 	round := int(e.stats.Snapshots)
-	if err := writeSnapshotTemp(e.cfg.Dir, encodeSnapshot(st)); err != nil {
+	if err := writeSnapshotTemp(e.cfg.Dir, encodeSnapshot(e.stateLocked())); err != nil {
 		return err
 	}
 	if e.inj != nil && !e.inj.Alive(FaultNodeSnapTemp, round) {
@@ -930,6 +792,28 @@ func (e *Engine) snapshotLocked() error {
 	e.sinceSnap = 0
 	e.stats.Snapshots++
 	return nil
+}
+
+// stateLocked is the engine's compacted state at its high-water mark: the
+// live edge set in canonical order with forest-membership flags.
+func (e *Engine) stateLocked() snapshotState {
+	keys := e.liveKeys()
+	st := snapshotState{HighWater: e.lastBatch, N: e.n, Edges: make([]snapEdge, len(keys))}
+	for i, k := range keys {
+		ends := e.live[k]
+		st.Edges[i] = snapEdge{U: ends[0], V: ends[1], W: par.KeyWeight(k), Forest: e.inc.HasEdge(k)}
+	}
+	return st
+}
+
+// liveKeys returns every live edge's key in canonical order.
+func (e *Engine) liveKeys() []uint64 {
+	keys := make([]uint64, 0, len(e.live))
+	for k := range e.live {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Snapshot forces a compaction now (engines without a durability directory
@@ -1004,11 +888,7 @@ func (e *Engine) ForestInto(buf []graph.Edge) []graph.Edge {
 func (e *Engine) LiveEdges() []graph.Edge {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	keys := make([]uint64, 0, len(e.live))
-	for k := range e.live {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	keys := e.liveKeys()
 	out := make([]graph.Edge, len(keys))
 	for i, k := range keys {
 		ends := e.live[k]

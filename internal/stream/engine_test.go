@@ -204,37 +204,70 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-func TestEngineForcedRecompute(t *testing.T) {
-	// A scan budget of 1 forces every forest-edge delete through the
-	// component recompute; correctness must be identical.
-	rng := rand.New(rand.NewSource(11))
-	n := 40
-	e, _ := mustOpen(t, Config{Vertices: n, ReplaceScanBudget: 1, RecomputeParallelEdges: 8, Workers: 2})
-	o := &liveOracle{n: n}
-	id := uint64(0)
-	for step := 0; step < 300; step++ {
-		var ops []Op
-		for k := 0; k < 4; k++ {
-			if len(o.edges) > 0 && rng.Intn(3) == 0 {
-				pick := o.edges[rng.Intn(len(o.edges))]
-				ops = append(ops, del(pick.U, pick.V, pick.W))
-			} else {
-				u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
-				if u == v {
-					v = (v + 1) % uint32(n)
+// bridgedGrids builds the bridge-churn adversary: two k×k grids with
+// random weights in [0, 100), vertices [0, k²) and [k², 2k²), joined by k
+// bridges of distinct weights 100..100+k-1 from the first grid's right
+// column to the second grid's left column. It returns the vertex count, the
+// ops inserting everything, and the lightest bridge. That bridge is the
+// forest's only crossing edge, so deleting it cuts the component into two
+// k²-vertex sides, and its replacement is the next-lightest bridge.
+func bridgedGrids(k int, seed int64) (n int, build []Op, lightest Op) {
+	rng := rand.New(rand.NewSource(seed))
+	at := func(grid, r, c int) uint32 { return uint32(grid*k*k + r*k + c) }
+	for grid := 0; grid < 2; grid++ {
+		for r := 0; r < k; r++ {
+			for c := 0; c < k; c++ {
+				if c+1 < k {
+					build = append(build, ins(at(grid, r, c), at(grid, r, c+1), rng.Float32()*100))
 				}
-				ops = append(ops, ins(u, v, float32(rng.Intn(20))))
+				if r+1 < k {
+					build = append(build, ins(at(grid, r, c), at(grid, r+1, c), rng.Float32()*100))
+				}
 			}
 		}
+	}
+	for i, r := range rng.Perm(k) {
+		build = append(build, ins(at(0, r, k-1), at(1, r, 0), float32(100+i)))
+	}
+	return 2 * k * k, build, build[len(build)-k]
+}
+
+func TestEngineBridgeChurn(t *testing.T) {
+	// Every batch deletes the lightest bridge between two 64² grids and
+	// re-inserts it: the delete cuts 4096 vertices off and its replacement
+	// search must scan a whole grid side; the re-insert evicts the
+	// replacement again. The forest must stay exact, and the steady state
+	// must not allocate.
+	n, build, b := bridgedGrids(64, 5)
+	e, _ := mustOpen(t, Config{Vertices: n})
+	o := &liveOracle{n: n}
+	id := uint64(1)
+	if _, err := e.Apply(Batch{ID: id, Ops: build}); err != nil {
+		t.Fatal(err)
+	}
+	o.apply(build)
+	checkAgainstOracle(t, e, o)
+	churn := []Op{del(b.U, b.V, b.W), ins(b.U, b.V, b.W)}
+	for i := 0; i < 20; i++ {
 		id++
-		if _, err := e.Apply(Batch{ID: id, Ops: ops}); err != nil {
+		res, err := e.Apply(Batch{ID: id, Ops: churn})
+		if err != nil {
 			t.Fatal(err)
 		}
-		o.apply(ops)
+		if res.Deleted != 1 || res.Swaps != 2 {
+			t.Fatalf("batch %d: want one delete relinking the next bridge and one evicting insert: %+v", id, res)
+		}
+		o.apply(churn)
 		checkAgainstOracle(t, e, o)
 	}
-	if st := e.Stats(); st.Recomputes == 0 {
-		t.Fatal("scan budget 1 never forced a recompute")
+	allocs := testing.AllocsPerRun(50, func() {
+		id++
+		if _, err := e.Apply(Batch{ID: id, Ops: churn}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("bridge churn allocates %v times per batch, want 0", allocs)
 	}
 }
 

@@ -2,11 +2,9 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 
 	"llpmst/internal/mst"
 	"llpmst/internal/obs"
-	"llpmst/internal/par"
 )
 
 // This file is the engine's replication surface. A primary's replication
@@ -95,18 +93,7 @@ func (e *Engine) EncodeSnapshot() ([]byte, error) {
 	if e.dead {
 		return nil, ErrCrashed
 	}
-	st := snapshotState{HighWater: e.lastBatch, N: e.n}
-	keys := make([]uint64, 0, len(e.live))
-	for k := range e.live {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	st.Edges = make([]snapEdge, len(keys))
-	for i, k := range keys {
-		ends := e.live[k]
-		st.Edges[i] = snapEdge{U: ends[0], V: ends[1], W: par.KeyWeight(k), Forest: e.inc.HasEdge(k)}
-	}
-	return encodeSnapshot(st), nil
+	return encodeSnapshot(e.stateLocked()), nil
 }
 
 // InstallSnapshot replaces the follower's entire state with a shipped
@@ -146,8 +133,8 @@ func (e *Engine) InstallSnapshot(data []byte) (uint64, error) {
 	// Rebuild in-memory state from scratch; identities restart dense.
 	e.inc = mst.NewIncremental(e.n)
 	e.live = make(map[uint64][2]uint32)
-	e.adj = make([][]uint64, e.n)
-	e.forestAdj = make([][]uint64, e.n)
+	e.adj = make([][]arc, e.n)
+	e.forestAdj = make([][]arc, e.n)
 	e.nextID = 0
 	if err := e.restoreSnapshot(snap); err != nil {
 		// The on-disk snapshot decoded cleanly but is semantically broken

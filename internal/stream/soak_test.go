@@ -3,11 +3,14 @@ package stream
 import (
 	"math/rand"
 	"testing"
+
+	"llpmst/internal/graph"
 )
 
 // soakFamily is one randomized workload generator. Each family stresses a
-// different part of the delete machinery: replacement search, recompute
-// fallback, tie-breaking on parallel edges, and snapshot/reopen cycles.
+// different part of the delete machinery: replacement search, cuts that
+// split large sides, tie-breaking on parallel edges, and snapshot/reopen
+// cycles.
 type soakFamily struct {
 	name string
 	n    int
@@ -20,15 +23,15 @@ type soakFamily struct {
 }
 
 func soakFamilies() []soakFamily {
-	memCfg := func(n, workers int) func(string) Config {
-		return func(string) Config { return Config{Vertices: n, Workers: workers} }
+	memCfg := func(n int) func(string) Config {
+		return func(string) Config { return Config{Vertices: n} }
 	}
 	return []soakFamily{
 		{
 			// Uniform random inserts and deletes over the whole vertex set.
 			name: "uniform",
 			n:    64,
-			cfg:  memCfg(64, 2),
+			cfg:  memCfg(64),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 8)
 				for k := rng.Intn(8) + 1; k > 0; k-- {
@@ -51,7 +54,7 @@ func soakFamilies() []soakFamily {
 			// forest edges are cut often and replacement search dominates.
 			name: "churn",
 			n:    48,
-			cfg:  memCfg(48, 2),
+			cfg:  memCfg(48),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 6)
 				for k := rng.Intn(6) + 1; k > 0; k-- {
@@ -77,7 +80,7 @@ func soakFamilies() []soakFamily {
 			// bridge splits a large component and forces wide cut searches.
 			name: "bridges",
 			n:    60,
-			cfg:  memCfg(60, 2),
+			cfg:  memCfg(60),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 6)
 				for k := rng.Intn(6) + 1; k > 0; k-- {
@@ -106,7 +109,7 @@ func soakFamilies() []soakFamily {
 			// the oracle's exactly.
 			name: "ties",
 			n:    12,
-			cfg:  memCfg(12, 2),
+			cfg:  memCfg(12),
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 5)
 				for k := rng.Intn(5) + 1; k > 0; k-- {
@@ -125,30 +128,43 @@ func soakFamilies() []soakFamily {
 			},
 		},
 		{
-			// Adversarial: a scan budget of 1 forces the recompute fallback on
-			// essentially every forest-edge delete, and the engine runs with a
-			// durable dir, frequent snapshots, and periodic close/reopen.
-			name: "recompute-durable",
+			// Adversarial for the replacement scan: two clusters joined by
+			// bridges heavier than any cluster edge, with a fifth of the ops
+			// deleting the lightest live bridge — the forest's crossing edge
+			// whenever the clusters are connected — so the cut splits the
+			// component into two large sides; random deletes hold the live
+			// set near 100 edges. The engine runs with a durable dir,
+			// frequent snapshots, and periodic close/reopen.
+			name: "bridges-durable",
 			n:    40,
 			cfg: func(dir string) Config {
-				return Config{
-					Vertices: 40, Workers: 2, Dir: dir, Sync: SyncOff,
-					SnapshotEvery: 50, ReplaceScanBudget: 1, RecomputeParallelEdges: 16,
-				}
+				return Config{Vertices: 40, Dir: dir, Sync: SyncOff, SnapshotEvery: 50}
 			},
 			reopenEvery: 97,
 			next: func(rng *rand.Rand, o *liveOracle) []Op {
 				ops := make([]Op, 0, 6)
 				for k := rng.Intn(6) + 1; k > 0; k-- {
-					if len(o.edges) > 4 && rng.Intn(5) < 2 {
+					r := rng.Intn(20)
+					if r < 4 {
+						if b, ok := lightestBridge(o, 20); ok {
+							ops = append(ops, del(b.U, b.V, b.W))
+							continue
+						}
+					}
+					switch {
+					case r < 10 && len(o.edges) > 100:
 						e := o.edges[rng.Intn(len(o.edges))]
 						ops = append(ops, del(e.U, e.V, e.W))
-					} else {
-						u, v := uint32(rng.Intn(40)), uint32(rng.Intn(40))
+					case r < 14:
+						// Bridge: cluster A is [0,20), cluster B is [20,40).
+						ops = append(ops, ins(uint32(rng.Intn(20)), uint32(20+rng.Intn(20)), 50+float32(rng.Intn(50))))
+					default:
+						base := uint32(20 * rng.Intn(2))
+						u, v := base+uint32(rng.Intn(20)), base+uint32(rng.Intn(20))
 						if u == v {
-							v = (v + 1) % 40
+							v = base + (v-base+1)%20
 						}
-						ops = append(ops, ins(u, v, float32(rng.Intn(100))))
+						ops = append(ops, ins(u, v, float32(rng.Intn(50))))
 					}
 				}
 				return ops
@@ -207,8 +223,21 @@ func TestSoakMixedBatches(t *testing.T) {
 				}
 			}
 			st := e.Stats()
-			t.Logf("%s: %d batches, forest=%d trees=%d swaps=%d recomputes=%d",
-				fam.name, perFamily, st.ForestEdges, st.Trees, st.Swaps, st.Recomputes)
+			t.Logf("%s: %d batches, forest=%d trees=%d swaps=%d",
+				fam.name, perFamily, st.ForestEdges, st.Trees, st.Swaps)
 		})
 	}
+}
+
+// lightestBridge returns the earliest lightest live edge joining [0, half)
+// to the rest of the vertices.
+func lightestBridge(o *liveOracle, half uint32) (graph.Edge, bool) {
+	var best graph.Edge
+	found := false
+	for _, e := range o.edges {
+		if (e.U < half) != (e.V < half) && (!found || e.W < best.W) {
+			best, found = e, true
+		}
+	}
+	return best, found
 }
