@@ -10,8 +10,9 @@ import (
 )
 
 // Perf measures the repo's benchmark trajectory: every parallel algorithm
-// against the sequential Prim baseline on the Table I stand-ins, at one
-// worker and at GOMAXPROCS, with a reused Workspace warmed by one untimed
+// against the sequential Prim baseline on the Table I stand-ins and the
+// er and geo morphologies (the served solve-cold families), at one worker
+// and at GOMAXPROCS, with a reused Workspace warmed by one untimed
 // run so the numbers reflect steady state (allocs_per_op is the point of the
 // warm-up: second-and-later runs on a warm workspace should allocate O(1)).
 //
@@ -34,7 +35,7 @@ func PerfCtx(ctx context.Context, w io.Writer, sc Scale, trials int) ([]Result, 
 		mst.AlgParallelBoruvka, mst.AlgLLPBoruvka, mst.AlgSemiringBoruvka,
 	}
 	var results []Result
-	for _, ds := range []string{"road", "rmat"} {
+	for _, ds := range []string{"road", "rmat", "er", "geo"} {
 		g, err := GetDataset(sc, ds)
 		if err != nil {
 			return nil, err

@@ -94,7 +94,7 @@ func boruvka(g *graph.CSR, mtr *WorkMetrics) *Forest {
 			if mtr != nil {
 				*mtr = WorkMetrics{Rounds: rounds}
 			}
-			return newForest(g, ids)
+			return newForest(g, ids, nil)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func recoverPanic(alg Algorithm, g *graph.CSR, ids *[]uint32, want int, f **Fore
 		return
 	}
 	pe := par.AsPanicError(r, -1)
-	*f = newForest(g, slices.Clone(*ids))
+	*f = newForest(g, slices.Clone(*ids), nil)
 	*err = panicked(alg, pe, len(*ids), want)
 }
 

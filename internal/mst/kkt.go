@@ -43,7 +43,7 @@ func KKT(g *graph.CSR, opts Options) *Forest {
 	if opts.Metrics != nil {
 		*opts.Metrics = WorkMetrics{Rounds: k.levels}
 	}
-	return newForest(g, ids)
+	return newForest(g, ids, nil)
 }
 
 // kktBaseSize is the subproblem size below which sort-and-scan Kruskal

@@ -31,7 +31,7 @@ func kruskal(g *graph.CSR, mtr *WorkMetrics) *Forest {
 	if mtr != nil {
 		*mtr = WorkMetrics{Rounds: 1, Unions: int64(len(ids))}
 	}
-	return newForest(g, ids)
+	return newForest(g, ids, nil)
 }
 
 // FilterKruskal is the parallel filter-Kruskal variant (Osipov, Sanders,
@@ -102,7 +102,7 @@ func FilterKruskal(g *graph.CSR, opts Options) *Forest {
 	}
 	target = n - 1 // upper bound; early exit just stops sooner when reached
 	recurse(keys)
-	return newForest(g, ids)
+	return newForest(g, ids, nil)
 }
 
 func medianOfThree(keys []uint64) uint64 {

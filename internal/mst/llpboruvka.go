@@ -20,8 +20,12 @@ type cedge struct {
 // unrolled) recursion runs on a contracted graph whose vertices are the
 // previous round's components:
 //
-//  1. every vertex picks its minimum-weight incident edge (mwe) in parallel
-//     (atomic write-min, then a race-free winner pass — keys are unique);
+//  1. every vertex picks its minimum-weight incident edge (mwe) in parallel.
+//     Round 1 reads the set §V.A says "can be computed when the graph is
+//     input": graph.CSR.MinArcKeys caches it on the graph (LLP-Prim reads
+//     the same slice), and a key's edge id is its index in round 1's edge
+//     list. Later rounds run on contracted edge lists, which have no CSR:
+//     an atomic write-min, then a race-free winner pass (keys are unique);
 //  2. parents are chosen with the paper's symmetry break: G[v] = w for
 //     mwe(v) = (v, w), except when the choice is mutual and v < w, in which
 //     case v roots itself. G is then a forest of rooted trees in which edge
@@ -33,7 +37,8 @@ type cedge struct {
 //     round" the paper emphasizes;
 //  4. components are contracted: star roots become the next round's
 //     vertices, intra-component edges are discarded, and surviving edges are
-//     relabelled into a ping-pong buffer (no per-round allocation).
+//     relabelled into a ping-pong buffer in one pass (no per-round
+//     allocation).
 //
 // Unlike ParallelBoruvka there is no shared union-find: component identity
 // is carried entirely by the G array and resolved by pointer jumping.
@@ -93,7 +98,16 @@ func LLPBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 		par.WriteMin(&bst[e.u], e.key)
 		par.WriteMin(&bst[e.v], e.key)
 	}
-	bidxClear := func(v int) { bidx[v] = -1 }
+	// Round 1 runs on g itself, whose edge list index is the edge id, so
+	// its mwe set is the one cached at input (§V.A).
+	mwe := g.MinArcKeys(p)
+	firstBody := func(v int) {
+		if k := mwe[v]; k == par.InfKey {
+			bidx[v] = -1 // isolated vertex
+		} else {
+			bidx[v] = int32(par.KeyID(k))
+		}
+	}
 	winnerBody := func(i int) {
 		e := &edges[i]
 		if bst[e.u] == e.key {
@@ -160,16 +174,20 @@ func LLPBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 		obs.MarkRound(col, rounds)
 		col.Count(obs.CtrRounds, 1)
 		col.Gauge(obs.GaugeLiveEdges, int64(len(edges)))
-		// Phase 1: mwe per current vertex.
+		// Phase 1: bidx[v] = index (into edges) of v's mwe.
 		mweSpan := col.Span("llp-boruvka.mwe")
-		bst = best[:nv]
-		par.FillKeys(p, bst, par.InfKey)
-		par.ForEach(p, len(edges), 2048, mweBody)
-		// Winner pass: bestIdx[v] = index (into edges) of v's mwe. Keys are
-		// unique, so each cell has exactly one writer — no atomics needed.
 		bidx = bestIdx[:nv]
-		par.ForEach(p, nv, 8192, bidxClear)
-		par.ForEach(p, len(edges), 2048, winnerBody)
+		if rounds == 1 {
+			par.ForEach(p, nv, 8192, firstBody)
+		} else {
+			bst = best[:nv]
+			par.FillKeys(p, bst, par.InfKey)
+			par.ForEach(p, len(edges), 2048, mweBody)
+			// Winner pass: keys are unique, so each cell has exactly one
+			// writer — no atomics needed.
+			par.Fill(p, bidx, -1)
+			par.ForEach(p, len(edges), 2048, winnerBody)
+		}
 		mweSpan()
 		// A cancel inside phase 1 leaves bst/bidx incomplete; the parent
 		// phase must not consume them, or its choices need not be MSF edges.
@@ -207,8 +225,8 @@ func LLPBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 			break
 		}
 		// Phase 4: contract. Star roots become next round's vertices;
-		// surviving cross edges are relabelled into the spare buffer via
-		// per-worker chunk counts + prefix sum (see par.FilterMapInto).
+		// surviving cross edges are relabelled into the spare buffer, each
+		// worker compacting its own chunk (see par.FilterMapInto).
 		contractSpan := col.Span("llp-boruvka.contract")
 		roots = par.PackIndexInto(p, nv, rootsBuf, counters, isRoot)
 		nid = newID[:nv]
@@ -224,7 +242,7 @@ func LLPBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 			Rounds: rounds, JumpRounds: jumpRounds, JumpAdvances: jumpAdvances,
 		}
 	}
-	f = newForest(g, slices.Clone(ids))
+	f = newForest(g, slices.Clone(ids), ws.ids)
 	if cancelled {
 		return f, interrupted(AlgLLPBoruvka, cc, len(ids), n-1)
 	}

@@ -211,11 +211,11 @@ func LLPPrim(g *graph.CSR, opts Options) (f *Forest, err error) {
 		}
 	}
 	flush()
-	return newForest(g, slices.Clone(ids)), nil
+	return newForest(g, slices.Clone(ids), ws.ids), nil
 
 cancelled:
 	flush()
-	return newForest(g, slices.Clone(ids)), interrupted(AlgLLPPrim, cc, len(ids), n-1)
+	return newForest(g, slices.Clone(ids), ws.ids), interrupted(AlgLLPPrim, cc, len(ids), n-1)
 }
 
 // LLPPrimParallel runs Algorithm 5 with the bag R processed by
@@ -404,9 +404,9 @@ func LLPPrimParallel(g *graph.CSR, opts Options) (f *Forest, err error) {
 		}
 	}
 	flush()
-	return newForest(g, slices.Clone(ids)), nil
+	return newForest(g, slices.Clone(ids), ws.ids), nil
 
 cancelled:
 	flush()
-	return newForest(g, slices.Clone(ids)), interrupted(AlgLLPPrimParallel, cc, len(ids), n-1)
+	return newForest(g, slices.Clone(ids), ws.ids), interrupted(AlgLLPPrimParallel, cc, len(ids), n-1)
 }

@@ -55,7 +55,7 @@ func LLPPrimAsync(g *graph.CSR, opts Options) (f *Forest, err error) {
 		}
 		pe := par.AsPanicError(r, -1)
 		chosen := slices.Clone(ids[:idCursor.Load()])
-		f = newForest(g, chosen)
+		f = newForest(g, chosen, ws.ids)
 		err = panicked(AlgLLPPrimAsync, pe, len(chosen), n-1)
 	}()
 
@@ -107,7 +107,7 @@ func LLPPrimAsync(g *graph.CSR, opts Options) (f *Forest, err error) {
 				EarlyFixes: early, HeapFixes: heapFixes,
 			}
 		}
-		f := newForest(g, chosen)
+		f := newForest(g, chosen, ws.ids)
 		if cancelled {
 			return f, interrupted(AlgLLPPrimAsync, cc, len(chosen), n-1)
 		}

@@ -142,8 +142,8 @@ func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 			break
 		}
 		// Phase 3: relabel, then compact the live edge array into the spare
-		// buffer via per-worker chunk counts + prefix sum (no channel or
-		// atomic-append contention; see par.FilterInto) and ping-pong.
+		// buffer, each worker compacting its own chunk (no channel or
+		// atomic-append contention; see par.FilterInto), and ping-pong.
 		par.ForEach(p, n, 4096, relabelBody)
 		kept := par.FilterInto(p, spareIDs, alive, counters, keepCross)
 		spareIDs = alive[:cap(alive)]
@@ -157,7 +157,7 @@ func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 	if opts.Metrics != nil {
 		*opts.Metrics = WorkMetrics{Rounds: rounds, Unions: int64(len(ids))}
 	}
-	f = newForest(g, slices.Clone(ids))
+	f = newForest(g, slices.Clone(ids), ws.ids)
 	if cancelled {
 		return f, interrupted(AlgParallelBoruvka, cc, len(ids), n-1)
 	}

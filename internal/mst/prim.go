@@ -60,7 +60,7 @@ func primIndexed(g *graph.CSR, mtr *WorkMetrics) *Forest {
 			HeapFixes: pops, Relaxations: relaxations,
 		}
 	}
-	return newForest(g, ids)
+	return newForest(g, ids, nil)
 }
 
 // PrimLazy implements the simplified variant §IV analyses: instead of
@@ -121,7 +121,7 @@ func primLazy(g *graph.CSR, mtr *WorkMetrics) *Forest {
 			HeapFixes: pops - stale, Relaxations: relaxations,
 		}
 	}
-	return newForest(g, ids)
+	return newForest(g, ids, nil)
 }
 
 // PrimPairing is Prim's algorithm on a pairing heap with true decrease-key;
@@ -166,5 +166,5 @@ func PrimPairing(g *graph.CSR) *Forest {
 			}
 		}
 	}
-	return newForest(g, ids)
+	return newForest(g, ids, nil)
 }

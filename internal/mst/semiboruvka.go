@@ -316,7 +316,7 @@ func SemiringBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 			Rounds: rounds, JumpRounds: jumpRounds, JumpAdvances: jumpAdvances,
 		}
 	}
-	f = newForest(g, slices.Clone(ids))
+	f = newForest(g, slices.Clone(ids), ws.ids)
 	if cancelled {
 		return f, interrupted(AlgSemiringBoruvka, cc, len(ids), n-1)
 	}

@@ -3,6 +3,7 @@ package par
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -51,6 +52,55 @@ func TestFilterMapIntoReusesDst(t *testing.T) {
 			t.Fatalf("round %d: output did not reuse dst storage", round)
 		}
 		dst = out[:0]
+	}
+}
+
+// TestCompactIntoCallsOncePerElement: FilterMapInto's transform and
+// PackIndexInto's predicate run exactly once per element at every worker
+// count, for lengths around the chunk boundaries and for survivor patterns
+// that leave whole chunks empty or full, and a dst shorter than the input
+// grows to hold the result.
+func TestCompactIntoCallsOncePerElement(t *testing.T) {
+	keeps := map[string]func(int) bool{
+		"thirds": func(x int) bool { return x%3 != 0 },
+		"all":    func(int) bool { return true },
+		"none":   func(int) bool { return false },
+		"tail":   func(x int) bool { return x >= 700 },
+	}
+	for _, p := range []int{1, 2, 4, 8} {
+		for _, n := range []int{p - 1, p, p + 1, 2*p - 1, 2*p + 1, 1000*p - 1, 1000 * p, 1000*p + 1} {
+			src := make([]int, n)
+			for i := range src {
+				src[i] = i % 1000
+			}
+			for name, keep := range keeps {
+				var calls atomic.Int64
+				f := func(x int) (int, bool) {
+					calls.Add(1)
+					return x + 1, keep(x)
+				}
+				want := refFilterMap(src, func(x int) (int, bool) { return x + 1, keep(x) })
+				got := FilterMapInto(p, make([]int, 0, n/2), src, nil, f)
+				if c := calls.Load(); c != int64(n) {
+					t.Fatalf("p=%d n=%d %s: f called %d times, want %d", p, n, name, c, n)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("p=%d n=%d %s: FilterMapInto mismatch (%d vs %d elems)", p, n, name, len(got), len(want))
+				}
+
+				calls.Store(0)
+				idx := PackIndexInto(p, n, make([]uint32, 0, n/2), nil, func(i int) bool {
+					calls.Add(1)
+					return keep(src[i])
+				})
+				if c := calls.Load(); c != int64(n) {
+					t.Fatalf("p=%d n=%d %s: keep called %d times, want %d", p, n, name, c, n)
+				}
+				if !slices.Equal(idx, PackIndex(1, n, func(i int) bool { return keep(src[i]) })) {
+					t.Fatalf("p=%d n=%d %s: PackIndexInto mismatch", p, n, name)
+				}
+			}
+		}
 	}
 }
 

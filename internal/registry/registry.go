@@ -183,14 +183,16 @@ func ValidateID(id string) error {
 }
 
 // snapshotBytes prices one resident snapshot: the CSR's own arrays (edge
-// records plus both arc directions plus offsets) and the single-worker
-// scratch estimate a solve of it needs — the graph is resident precisely so
-// it can be solved.
+// records plus both arc directions plus offsets), its per-vertex minimum arc
+// keys (cached by the first LLP-Boruvka or LLP-Prim solve and kept for the
+// graph's lifetime) and the single-worker scratch estimate a solve of it
+// needs — the graph is resident precisely so it can be solved.
 func snapshotBytes(g *graph.CSR) int64 {
 	n, m := int64(g.NumVertices()), int64(g.NumEdges())
 	const edgeRec = 12 // U, V uint32 + W float32
 	const arcRec = 12  // target uint32 + weight float32 + eid uint32
-	csr := m*edgeRec + 2*m*arcRec + (n+1)*8
+	const mweKey = 8   // packed (weight, edge id) uint64
+	csr := m*edgeRec + 2*m*arcRec + (n+1)*8 + n*mweKey
 	return csr + mst.EstimateScratchBytes(int(n), int(m), 1)
 }
 
