@@ -13,7 +13,8 @@ import (
 // chunked path (m ≥ 2^15 edges, beyond FuzzReadBinary's input cap): at every
 // worker count the CSR must equal the one-worker build byte for byte — the
 // same canonical edge list and the same arcs in the same order — and pass
-// Validate.
+// Validate. The loader's deferred build must give those same arcs for the
+// same edge list, self-loops included, read back at any worker count.
 func TestFromEdgesParallelMatchesSerial(t *testing.T) {
 	er := gen.ErdosRenyi(1, 1<<12, 1<<16, gen.WeightUniform, 3)
 	// Self-loops scattered through every chunk exercise the compaction of
@@ -49,6 +50,24 @@ func TestFromEdgesParallelMatchesSerial(t *testing.T) {
 			}
 			if v, a, ok := sameArcs(want, got); !ok {
 				t.Fatalf("%s p=%d: vertex %d arc %d differs from p=1", in.name, p, v, a)
+			}
+		}
+		// WriteBinary reads only the edge list, so the hook's unchecked
+		// graph writes the input as it is, self-loops and all.
+		var raw bytes.Buffer
+		if err := graph.WriteBinary(&raw, graph.DeferEdges(1, in.n, in.edges)); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 8} {
+			loaded, err := graph.ReadBinary(p, bytes.NewReader(raw.Bytes()))
+			if err != nil {
+				t.Fatalf("%s ReadBinary p=%d: %v", in.name, p, err)
+			}
+			if err := loaded.Validate(); err != nil {
+				t.Fatalf("%s ReadBinary p=%d: %v", in.name, p, err)
+			}
+			if v, a, ok := sameArcs(want, loaded); !ok {
+				t.Fatalf("%s ReadBinary p=%d: vertex %d arc %d differs from FromEdges p=1", in.name, p, v, a)
 			}
 		}
 	}

@@ -78,6 +78,7 @@ func (g *CSR) LargestComponent(p int) (*CSR, []uint32, error) {
 // memory — the cache-locality preprocessing step GBBS applies to road
 // networks before benchmarking.
 func (g *CSR) RelabelBFS(p int) (*CSR, []uint32, error) {
+	g.adjacency()
 	const unseen = ^uint32(0)
 	order := make([]uint32, 0, g.n)
 	pos := make([]uint32, g.n)

@@ -10,6 +10,7 @@ import (
 // vertices are connected iff their labels are equal. Used by validators and
 // tests; the parallel algorithms have their own labelling.
 func (g *CSR) Components() ([]uint32, int) {
+	g.adjacency()
 	const unset = ^uint32(0)
 	label := make([]uint32, g.n)
 	for i := range label {
@@ -54,13 +55,26 @@ func (g *CSR) Connected() bool {
 // Validate performs internal consistency checks on g and returns the first
 // problem found, or nil: out-of-range arc endpoints, asymmetric CSR arcs
 // (every undirected edge must appear as exactly two dual arcs), and
-// non-finite or negative weights are all rejected. Every file loader
-// (ReadDIMACS, ReadMatrixMarket, ReadMETIS, ReadBinary) runs it before
-// returning, so a parsed graph is structurally trustworthy.
+// non-finite or negative weights are all rejected. The file loaders
+// (ReadDIMACS, ReadMatrixMarket, ReadMETIS, ReadBinary) check the edge list
+// at load time and leave the arc arrays to a deferred build, which runs
+// Validate on them before any reader sees them; calling Validate on such a
+// graph runs that build if it has not run, and returns its result.
 func Validate(g *CSR) error { return g.Validate() }
 
 // Validate is the method form of the package-level Validate.
 func (g *CSR) Validate() error {
+	if g.deferred {
+		g.adjOnce.Do(g.build)
+		return g.adjErr
+	}
+	return g.validate()
+}
+
+// validate is Validate's exact check of the arc arrays against the edge
+// list. Its scratch is one byte per edge: an edge's arc count is reported
+// as soon as a third arc appears, and any count other than 2 at the end.
+func (g *CSR) validate() error {
 	if len(g.offsets) != g.n+1 {
 		return fmt.Errorf("graph: offsets length %d, want n+1=%d", len(g.offsets), g.n+1)
 	}
@@ -81,7 +95,7 @@ func (g *CSR) Validate() error {
 			return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
 		}
 	}
-	arcSeen := make([]int, len(g.edges))
+	arcSeen := make([]uint8, len(g.edges))
 	for v := uint32(0); int(v) < g.n; v++ {
 		lo, hi := g.offsets[v], g.offsets[v+1]
 		for a := lo; a < hi; a++ {
@@ -99,6 +113,9 @@ func (g *CSR) Validate() error {
 			}
 			if !(e.U == v && e.V == t) && !(e.V == v && e.U == t) {
 				return fmt.Errorf("graph: arc %d (%d->%d) does not match edge %d (%d,%d)", a, v, t, id, e.U, e.V)
+			}
+			if arcSeen[id] == 2 {
+				return fmt.Errorf("graph: edge %d appears in 3 arcs, want 2", id)
 			}
 			arcSeen[id]++
 		}

@@ -1,7 +1,9 @@
 package mst
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"llpmst/internal/gen"
 	"llpmst/internal/obs"
@@ -115,7 +117,8 @@ func TestFlightRecorderRoundSeriesFromAlgorithms(t *testing.T) {
 func TestFlightRecorderWorkerSpans(t *testing.T) {
 	g := gen.ErdosRenyi(1, 3000, 30000, gen.WeightUniform, 7)
 	rec := obs.NewFlightRecorder(4, 1<<16)
-	if _, err := LLPBoruvka(g, Options{Workers: 4, Observer: rec}); err != nil {
+	gate := &twoWorkerGate{FlightRecorder: rec, seen: map[int]bool{}, both: make(chan struct{})}
+	if _, err := LLPBoruvka(g, Options{Workers: 4, Observer: gate}); err != nil {
 		t.Fatal(err)
 	}
 	workers := map[int16]bool{}
@@ -130,6 +133,51 @@ func TestFlightRecorderWorkerSpans(t *testing.T) {
 	if _, ok := rec.SpanSummary("llp-boruvka.parents.chunk"); !ok {
 		t.Fatal("no latency digest for the chunk span")
 	}
+}
+
+// twoWorkerGate is a FlightRecorder whose first worker to open a parent
+// chunk span waits, up to a second, until a second worker opens one.
+// Workers claim chunks dynamically, and the run has one parallel parent
+// phase of two chunks, so on a busy host the worker that starts first can
+// claim both before the other runs. The gate orders only the claims; which
+// track each span lands on is still the recorder's and the algorithm's.
+type twoWorkerGate struct {
+	*obs.FlightRecorder
+	mu   sync.Mutex
+	seen map[int]bool
+	both chan struct{} // closed once two workers have opened a chunk span
+}
+
+func (g *twoWorkerGate) Worker(w int) obs.Collector {
+	return gatedWorker{Collector: g.FlightRecorder.Worker(w), gate: g, w: w}
+}
+
+func (g *twoWorkerGate) arrive(w int) {
+	g.mu.Lock()
+	if !g.seen[w] {
+		g.seen[w] = true
+		if len(g.seen) == 2 {
+			close(g.both)
+		}
+	}
+	g.mu.Unlock()
+	select {
+	case <-g.both:
+	case <-time.After(time.Second):
+	}
+}
+
+type gatedWorker struct {
+	obs.Collector
+	gate *twoWorkerGate
+	w    int
+}
+
+func (c gatedWorker) Span(name string) func() {
+	if name == "llp-boruvka.parents.chunk" {
+		c.gate.arrive(c.w)
+	}
+	return c.Collector.Span(name)
 }
 
 // TestFlightRecorderSteadyStateAllocs: the enabled recorder must not

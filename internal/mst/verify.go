@@ -10,9 +10,13 @@ import (
 )
 
 // CheckForest verifies structural validity of a forest for graph g: edge ids
-// in range and duplicate-free, acyclic, exactly n - #components(g) edges
-// (i.e. spanning within every component), and consistent Weight/Trees/N
-// fields. It does NOT check minimality; see VerifyMinimum.
+// in range and duplicate-free, acyclic, spanning within every component of
+// g, and consistent Weight/Trees/N fields. It does NOT check minimality; see
+// VerifyMinimum.
+//
+// The spanning check reads the edge list only, so it leaves a loaded
+// graph's adjacency unbuilt: an acyclic F spans G iff no edge of G joins two
+// trees of F, and then G has exactly F's n − |F| components.
 func CheckForest(g *graph.CSR, f *Forest) error {
 	n := g.NumVertices()
 	if f.N != n {
@@ -35,10 +39,15 @@ func CheckForest(g *graph.CSR, f *Forest) error {
 		}
 		weight += float64(e.W)
 	}
-	_, comps := g.Components()
-	if want := n - comps; len(f.EdgeIDs) != want {
-		return fmt.Errorf("verify: %d edges, want n - #components = %d", len(f.EdgeIDs), want)
+	tree := make([]uint32, n)
+	for v := range tree {
+		tree[v] = uf.Find(uint32(v))
 	}
+	if id, ok := joiningEdge(g.Edges(), tree); ok {
+		e := g.Edge(id)
+		return fmt.Errorf("verify: edge %d (%d,%d) joins two trees, so the forest does not span its component", id, e.U, e.V)
+	}
+	comps := n - len(f.EdgeIDs)
 	if f.Trees != comps {
 		return fmt.Errorf("verify: forest.Trees = %d, graph has %d components", f.Trees, comps)
 	}
@@ -46,6 +55,22 @@ func CheckForest(g *graph.CSR, f *Forest) error {
 		return fmt.Errorf("verify: forest.Weight = %g, edges sum to %g", f.Weight, weight)
 	}
 	return nil
+}
+
+// joiningEdge returns the smallest id of an edge whose endpoints lie in
+// different trees (tree[v] labels v's tree), scanning the edge list in
+// parallel.
+func joiningEdge(edges []graph.Edge, tree []uint32) (uint32, bool) {
+	first := uint32(len(edges))
+	par.For(0, len(edges), 4096, func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			if e := &edges[id]; tree[e.U] != tree[e.V] {
+				par.WriteMinU32(&first, uint32(id))
+				return
+			}
+		}
+	})
+	return first, int(first) < len(edges)
 }
 
 // VerifyMinimum verifies that f is the minimum spanning forest of g using

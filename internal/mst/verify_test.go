@@ -38,6 +38,16 @@ func TestCheckForestRejectsCorruptions(t *testing.T) {
 		{"missing-edge", corrupt(func(f *Forest) { f.EdgeIDs = f.EdgeIDs[:len(f.EdgeIDs)-1] })},
 		{"wrong-weight", corrupt(func(f *Forest) { f.Weight += 1 })},
 		{"wrong-trees", corrupt(func(f *Forest) { f.Trees++ })},
+		// Consistent in every field but not spanning: only the check that no
+		// graph edge joins two trees can reject it.
+		{"not-spanning", corrupt(func(f *Forest) {
+			f.EdgeIDs = f.EdgeIDs[1:]
+			f.Weight = 0
+			for _, id := range f.EdgeIDs {
+				f.Weight += float64(g.Edge(id).W)
+			}
+			f.Trees++
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,8 +13,11 @@ import (
 )
 
 // BenchmarkDecodeBinary measures upload ingest — Decode's format sniff,
-// ReadBinary and the validated CSR build at the default worker count — on
-// two of the graphs mstserve's cold-solve traffic uploads at scale s.
+// ReadBinary and the load-time edge check, at the default worker count — on
+// two of the graphs mstserve's cold-solve traffic uploads at scale s. Decode
+// leaves the CSR's arc arrays unbuilt; each "+adjacency" leg also forces
+// their deferred build and Validate, the extra cost a Prim-family leg pays
+// on its first solve of an upload.
 func BenchmarkDecodeBinary(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -28,15 +31,25 @@ func BenchmarkDecodeBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 		data := buf.Bytes()
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Decode(0, bytes.NewReader(data)); err != nil {
-					b.Fatal(err)
-				}
+		for _, adjacency := range []bool{false, true} {
+			name := c.name
+			if adjacency {
+				name += "+adjacency"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g, err := Decode(0, bytes.NewReader(data))
+					if err == nil && adjacency {
+						err = g.Validate()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -15,9 +15,11 @@ import (
 var binaryMagic = []byte("GPLL")
 
 // Decode sniffs r's leading magic and parses either the binary .llpg format
-// or DIMACS .gr text into a validated CSR built with the given worker count.
-// It is the single ingestion path for the registry and for mstserve uploads,
-// so fuzzing Decode covers both.
+// or DIMACS .gr text into a CSR whose edge list has passed the loaders'
+// exact checks. The arc arrays are not built yet: the first solve that
+// reads them (a Prim-family leg) builds and validates them with the given
+// worker count (see graph.CSR). It is the single ingestion path for the
+// registry and for mstserve uploads, so fuzzing Decode covers both.
 func Decode(workers int, r io.Reader) (*graph.CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.Peek(len(binaryMagic))

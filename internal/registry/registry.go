@@ -186,7 +186,10 @@ func ValidateID(id string) error {
 // records plus both arc directions plus offsets), its per-vertex minimum arc
 // keys (cached by the first LLP-Boruvka or LLP-Prim solve and kept for the
 // graph's lifetime) and the single-worker scratch estimate a solve of it
-// needs — the graph is resident precisely so it can be solved.
+// needs — the graph is resident precisely so it can be solved. An uploaded
+// graph has no arc arrays until a Prim-family solve first reads them, but
+// they are priced from the start: that build can come on any later solve,
+// and the memory bound must still hold after it.
 func snapshotBytes(g *graph.CSR) int64 {
 	n, m := int64(g.NumVertices()), int64(g.NumEdges())
 	const edgeRec = 12 // U, V uint32 + W float32

@@ -1,8 +1,11 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -392,4 +395,46 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestUploadedGraphConcurrentPrimSolves solves one freshly uploaded graph
+// four times at once through a Prim-first portfolio: the Prim legs race on
+// the upload's deferred adjacency build (run it under -race), LLP-Boruvka
+// legs read only the edge list, and every answer must equal Kruskal's.
+func TestUploadedGraphConcurrentPrimSolves(t *testing.T) {
+	src := gen.RMAT(1, 10, 16, gen.WeightUniform, 11)
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	runner := resilient.New(resilient.Config{Primary: mst.AlgPrim, Backup: mst.AlgLLPBoruvka, Workers: 2})
+	defer runner.Drain(context.Background())
+	r := New(Config{Solver: runner, Workers: 2})
+	if _, err := r.PutData("upload", &buf); err != nil {
+		t.Fatal(err)
+	}
+	want := mst.Kruskal(src)
+	const solves = 4
+	errs := make(chan error, solves)
+	var wg sync.WaitGroup
+	for i := 0; i < solves; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// A distinct options key per solve defeats the singleflight, so
+			// all four reach the runner.
+			res, err := r.Solve(context.Background(), "t", "upload", 0, SolveOptions{Key: fmt.Sprint(i)})
+			switch {
+			case err != nil:
+				errs <- err
+			case !res.Forest.Equal(want):
+				errs <- fmt.Errorf("solve %d (%s): %v, Kruskal %v", i, res.Algorithm, res.Forest, want)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
