@@ -28,7 +28,12 @@
 //     (GBBS-style write-min, and the paper's LLP formulation). LLP-Boruvka's
 //     first round reads the minimum-weight-edge set §V.A computes at input
 //     (graph.CSR.MinArcKeys, shared with LLP-Prim) instead of a write-min
-//     pass over all m edges.
+//     pass over all m edges, and its later rounds key each edge by its
+//     slot in the round's list, so the winning key names its edge. When
+//     m >= 3n its rounds run on the ~2n lightest edges first (the filter
+//     FilterKruskal applies to its sort) and take in the heavy rest in one
+//     relabel pass, so each heavy edge is read about twice instead of once
+//     per round.
 //   - AlgSemiringBoruvka: the sparse-matrix formulation — branch-free
 //     row-blocked min reductions with no atomics in the inner loop; it
 //     shines on dense graphs and is the resilient portfolio's pick when

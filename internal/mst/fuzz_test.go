@@ -21,6 +21,14 @@ func FuzzDifferentialMSF(f *testing.F) {
 	f.Add([]byte{8, 0, 7, 1, 1, 6, 1, 2, 5, 1, 3, 4, 1})
 	f.Add([]byte{1})
 	f.Add([]byte{16, 0, 0, 0})
+	// A dense, tie-heavy multigraph (n = 5, m = 24 ≥ 3n, weights 0 and 1),
+	// so that plain `go test` runs LLP-Boruvka's light-edge filter.
+	dense := []byte{4}
+	for i := 0; i < 24; i++ {
+		u := i % 5
+		dense = append(dense, byte(u), byte((u+1+i/5%4)%5), byte(i%2))
+	}
+	f.Add(dense)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 || len(in) > 1<<12 {
 			return

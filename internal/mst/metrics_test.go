@@ -104,6 +104,30 @@ func TestBoruvkaFamilyRoundCounters(t *testing.T) {
 	if par.Unions != int64(n-1) {
 		t.Fatalf("parallel boruvka unions %d, want %d", par.Unions, n-1)
 	}
+
+	// Dense leg: at m ≥ 3n LLP-Boruvka runs a light phase and then a heavy
+	// phase, each a Borůvka recursion of at most ⌈log₂ n⌉+1 rounds.
+	dense := gen.Geometric(1, 4096, gen.ConnectivityRadius(4096), 7)
+	n = dense.NumVertices()
+	logN := int64(0)
+	for 1<<logN < n {
+		logN++
+	}
+	probe := &cancelAt{cancel: func() {}}
+	if _, err := LLPBoruvka(dense, Options{Workers: 4, Metrics: &llpB, Observer: probe}); err != nil {
+		t.Fatal(err)
+	}
+	light := probe.relabel.Load()
+	if dense.NumEdges() < 3*n || light < 1 || light > logN+1 || llpB.Rounds-light > logN+1 {
+		t.Fatalf("llp-boruvka on n=%d m=%d: %d light + %d heavy rounds, want each in [1, %d]",
+			n, dense.NumEdges(), light, llpB.Rounds-light, logN+1)
+	}
+	ParallelBoruvka(dense, Options{Workers: 4, Metrics: &par})
+	if par.Rounds < 2 || par.Rounds > logN+1 {
+		t.Fatalf("boruvka-par on n=%d m=%d: %d rounds outside [2, %d]", n, dense.NumEdges(), par.Rounds, logN+1)
+	}
+	t.Logf("dense n=%d m=%d: llp-boruvka %d light + %d heavy rounds, boruvka-par %d rounds",
+		n, dense.NumEdges(), light, llpB.Rounds-light, par.Rounds)
 }
 
 func TestKruskalCounters(t *testing.T) {

@@ -191,7 +191,7 @@ func SemiringBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
 		}
 		return out
 	}
-	isRoot := func(v int) bool { return gv[v] == uint32(v) }
+	isRoot := func(v int) (uint32, bool) { return uint32(v), gv[v] == uint32(v) }
 	nidScatter := func(i int) { nid[roots[i]] = uint32(i) }
 	contractEdge := func(e cedge) (cedge, bool) {
 		gu, gw := gv[e.u], gv[e.v]

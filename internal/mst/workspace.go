@@ -44,12 +44,11 @@ type Workspace struct {
 
 	// Per-vertex scratch (sized to n).
 	keys   []uint64 // tentative packed keys: dist / best
-	flagsA []uint32 // atomic 0/1 or labels: fixed / comp
+	flagsA []uint32 // atomic 0/1 or labels: fixed / comp / LLP-Boruvka lab
 	flagsB []uint32 // atomic 0/1: inQ
 	vertsA []uint32 // component labels: G (LLP-Boruvka parents)
 	vertsB []uint32 // relabel targets: newID
 	vertsC []uint32 // star roots of the current contraction round
-	vIdx   []int32  // best-edge index: bestIdx
 	boolsA []bool   // sequential fixed flags
 	boolsB []bool   // sequential inQ flags
 	ids    []uint32 // chosen forest edge ids (≤ n-1)
@@ -57,6 +56,7 @@ type Workspace struct {
 	stage  []uint32 // staging set Q
 	picks  []uint32 // per-round collected winners / roots
 	recs   []waveRec
+	sample []uint64 // LLP-Boruvka's pivot sample (pivotSample keys)
 
 	// Per-edge scratch (sized to m).
 	cedges []cedge  // contracted edge list
@@ -107,10 +107,10 @@ func EstimateScratchBytes(n, m, workers int) int64 {
 	const (
 		cedgeBytes   = 16 // u, v uint32 + key uint64
 		waveRecBytes = 8  // v, eid uint32
+		sampleBytes  = 8 * pivotSample
 	)
 	perVertex := int64(8 + // keys
 		4*5 + // flagsA, flagsB, vertsA, vertsB, vertsC
-		4 + // vIdx
 		2 + // boolsA, boolsB
 		4*4 + // ids, bag, stage, picks
 		waveRecBytes + // recs (one wave record per fixed vertex)
@@ -123,7 +123,7 @@ func EstimateScratchBytes(n, m, workers int) int64 {
 		2*8 + // semiring matrix entries (one per arc, two per edge)
 		16) // lazy-heap entries (worst case: every arc relaxation staged)
 	perWorker := int64(8*par.PadStride) + 512 // counters + scheduler deque headers
-	return int64(n)*perVertex + int64(m)*perEdge + int64(workers)*perWorker
+	return sampleBytes + int64(n)*perVertex + int64(m)*perEdge + int64(workers)*perWorker
 }
 
 // workspacePool backs the nil-Options.Workspace default: algorithms borrow
@@ -173,16 +173,15 @@ func (w *Workspace) release() {
 func (w *Workspace) poison() {
 	const p64 = 0xDEADBEEFDEADBEEF
 	const p32 = uint32(0xDEADBEEF)
-	for i := range w.keys {
-		w.keys[i] = p64
+	for _, s := range [][]uint64{w.keys, w.arcKeys, w.sample} {
+		for i := range s {
+			s[i] = p64
+		}
 	}
 	for _, s := range [][]uint32{w.flagsA, w.flagsB, w.vertsA, w.vertsB, w.vertsC, w.ids, w.bag, w.stage, w.picks, w.eIDs, w.eSpare, w.eFlags} {
 		for i := range s {
 			s[i] = p32
 		}
-	}
-	for i := range w.vIdx {
-		w.vIdx[i] = -0x5EED
 	}
 	for i := range w.boolsA {
 		w.boolsA[i] = true
@@ -201,9 +200,6 @@ func (w *Workspace) poison() {
 	}
 	for i := range w.rowOff {
 		w.rowOff[i] = -0x5EED
-	}
-	for i := range w.arcKeys {
-		w.arcKeys[i] = p64
 	}
 	for i := range w.recs {
 		w.recs[i] = waveRec{v: p32, eid: p32}
@@ -229,7 +225,6 @@ func (w *Workspace) flagsBBuf(n int) []uint32 { return grow(&w.flagsB, n) }
 func (w *Workspace) vertsABuf(n int) []uint32 { return grow(&w.vertsA, n) }
 func (w *Workspace) vertsBBuf(n int) []uint32 { return grow(&w.vertsB, n) }
 func (w *Workspace) vertsCBuf(n int) []uint32 { return grow(&w.vertsC, n) }
-func (w *Workspace) vIdxBuf(n int) []int32    { return grow(&w.vIdx, n) }
 func (w *Workspace) boolsABuf(n int) []bool   { return grow(&w.boolsA, n) }
 func (w *Workspace) boolsBBuf(n int) []bool   { return grow(&w.boolsB, n) }
 func (w *Workspace) idsBuf(n int) []uint32    { return grow(&w.ids, n) }
@@ -240,6 +235,7 @@ func (w *Workspace) cspareBuf(m int) []cedge  { return grow(&w.cspare, m) }
 func (w *Workspace) eIDsBuf(m int) []uint32   { return grow(&w.eIDs, m) }
 func (w *Workspace) eSpareBuf(m int) []uint32 { return grow(&w.eSpare, m) }
 func (w *Workspace) eFlagsBuf(m int) []uint32 { return grow(&w.eFlags, m) }
+func (w *Workspace) sampleBuf() []uint64      { return grow(&w.sample, pivotSample) }
 
 // rowOffBuf returns the semiring backend's row-offset table (n+1 entries
 // for an n-row matrix); arcKeysBuf returns its row-major entry array (two

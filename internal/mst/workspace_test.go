@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"llpmst/internal/gen"
 	"llpmst/internal/graph"
 )
 
@@ -64,51 +65,68 @@ func TestWorkspaceReuseDifferential(t *testing.T) {
 // with a warm reused Workspace, each algorithm's per-call allocations are a
 // small constant (the returned Forest, its cloned edge-id slice, and a few
 // O(rounds) driver constants) — independent of n and m — at one worker and
-// at two, where the parallel runtime starts its goroutines.
+// at two, where the parallel runtime starts its goroutines. The sparse leg
+// runs barely above a tree; the dense leg (m ≥ 3n) runs LLP-Boruvka's
+// light-edge filter and heavy phase.
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	g := stressGraph("sparse", 42)
-	// Bounds are ~2x the steady state measured on this graph, so they
+	// Bounds are ~2x the steady state measured on these graphs, so they
 	// catch a regression to per-element allocation without flaking on a
 	// round or two of variance. At one worker the pointer-jumping
 	// Boruvkas' bounds are largest: their driver allocates O(log n) small
 	// constants per contraction round. At two workers the parallel
 	// runtime's goroutine starts add to every count, most to
 	// llp-prim-async's, whose scheduler starts p goroutines per heap fix.
-	bounds := map[Algorithm][2]float64{ // {Workers: 1, Workers: 2}
-		AlgLLPPrim:         {8, 8},
-		AlgLLPPrimParallel: {12, 12},
-		AlgLLPPrimAsync:    {16, 1300},
-		AlgParallelBoruvka: {32, 96},
-		AlgLLPBoruvka:      {96, 200},
-		AlgSemiringBoruvka: {96, 330},
+	legs := []struct {
+		prefix string
+		g      *graph.CSR
+		bounds map[Algorithm][2]float64 // {Workers: 1, Workers: 2}
+	}{
+		{"", stressGraph("sparse", 42), map[Algorithm][2]float64{
+			AlgLLPPrim:         {8, 8},
+			AlgLLPPrimParallel: {12, 12},
+			AlgLLPPrimAsync:    {16, 1300},
+			AlgParallelBoruvka: {32, 96},
+			AlgLLPBoruvka:      {96, 200},
+			AlgSemiringBoruvka: {96, 330},
+		}},
+		{"dense-", gen.Geometric(1, 1000, gen.ConnectivityRadius(1000), 42), map[Algorithm][2]float64{
+			AlgLLPPrim:         {8, 8},
+			AlgLLPPrimParallel: {12, 12},
+			AlgLLPPrimAsync:    {16, 9600},
+			AlgParallelBoruvka: {24, 180},
+			AlgLLPBoruvka:      {120, 440},
+			AlgSemiringBoruvka: {110, 620},
+		}},
 	}
-	oracle := Kruskal(g)
 	for _, alg := range parallelAlgs {
 		t.Run(string(alg), func(t *testing.T) {
-			for wi, workers := range []int{1, 2} {
-				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-					ws := NewWorkspace()
-					opts := Options{Workers: workers, Workspace: ws}
-					// First call grows the arena and is allowed to allocate freely.
-					warm := must(Run(alg, g, opts))
-					if !warm.Equal(oracle) {
-						t.Fatalf("warm-up forest differs from oracle")
-					}
-					var sink *Forest
-					n := testing.AllocsPerRun(10, func() {
-						sink = must(Run(alg, g, opts))
+			for _, leg := range legs {
+				oracle := Kruskal(leg.g)
+				for wi, workers := range []int{1, 2} {
+					t.Run(fmt.Sprintf("%sw%d", leg.prefix, workers), func(t *testing.T) {
+						ws := NewWorkspace()
+						opts := Options{Workers: workers, Workspace: ws}
+						// First call grows the arena and is allowed to allocate freely.
+						warm := must(Run(alg, leg.g, opts))
+						if !warm.Equal(oracle) {
+							t.Fatalf("warm-up forest differs from oracle")
+						}
+						var sink *Forest
+						n := testing.AllocsPerRun(10, func() {
+							sink = must(Run(alg, leg.g, opts))
+						})
+						t.Logf("steady-state allocs/run = %v", n)
+						if bound := leg.bounds[alg][wi]; n > bound {
+							t.Errorf("steady-state allocs/run = %v, want <= %v", n, bound)
+						}
+						if !sink.Equal(oracle) {
+							t.Fatalf("steady-state forest differs from oracle")
+						}
 					})
-					t.Logf("steady-state allocs/run = %v", n)
-					if bound := bounds[alg][wi]; n > bound {
-						t.Errorf("steady-state allocs/run = %v, want <= %v", n, bound)
-					}
-					if !sink.Equal(oracle) {
-						t.Fatalf("steady-state forest differs from oracle")
-					}
-				})
+				}
 			}
 		})
 	}
@@ -224,7 +242,7 @@ func TestEstimateScratchBytes(t *testing.T) {
 		}
 		held := int64(8*len(ws.keys) +
 			4*(len(ws.flagsA)+len(ws.flagsB)+len(ws.vertsA)+len(ws.vertsB)+len(ws.vertsC)) +
-			4*len(ws.vIdx) + len(ws.boolsA) + len(ws.boolsB) +
+			len(ws.boolsA) + len(ws.boolsB) + 8*len(ws.sample) +
 			4*(len(ws.ids)+len(ws.bag)+len(ws.stage)+len(ws.picks)) +
 			8*len(ws.recs) +
 			16*(len(ws.cedges)+len(ws.cspare)) +

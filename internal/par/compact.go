@@ -120,11 +120,14 @@ func FilterInto[T any](p int, dst, src []T, pad []int64, keep func(T) bool) []T 
 	return FilterMapInto(p, dst, src, pad, func(x T) (T, bool) { return x, keep(x) })
 }
 
-// PackIndexInto is PackIndex writing into dst with a caller counter block:
-// the indices i in [0, n) satisfying keep, in increasing order. keep runs
-// once per index; dst must hold n elements (it is grown otherwise). Zero
-// allocations when dst and pad are large enough.
-func PackIndexInto(p, n int, dst []uint32, pad []int64, keep func(i int) bool) []uint32 {
+// PackIndexInto is FilterMapInto over the indices [0, n) instead of a
+// source slice: f(i) runs once per index and its accepted results land in
+// dst in increasing i. With f(i) = (uint32(i), keep(i)) it is PackIndex
+// writing into dst; a caller that reads its input by index (another
+// slice's elements, or several slices at once) compacts it without first
+// copying it into a source slice. dst must hold n elements (it is grown
+// otherwise). Zero allocations when dst and pad are large enough.
+func PackIndexInto[D any](p, n int, dst []D, pad []int64, f func(i int) (D, bool)) []D {
 	if n == 0 {
 		return dst[:0]
 	}
@@ -135,14 +138,14 @@ func PackIndexInto(p, n int, dst []uint32, pad []int64, keep func(i int) bool) [
 	if p == 1 {
 		dst = dst[:0]
 		for i := 0; i < n; i++ {
-			if keep(i) {
-				dst = append(dst, uint32(i))
+			if d, ok := f(i); ok {
+				dst = append(dst, d)
 			}
 		}
 		return dst
 	}
 	if cap(dst) < n {
-		dst = make([]uint32, n)
+		dst = make([]D, n)
 	}
 	dst = dst[:n]
 	pad = PadBlock(pad, p)
@@ -150,8 +153,8 @@ func PackIndexInto(p, n int, dst []uint32, pad []int64, keep func(i int) bool) [
 		lo, hi := chunkBounds(w, p, n)
 		at := lo
 		for i := lo; i < hi; i++ {
-			if keep(i) {
-				dst[at] = uint32(i)
+			if d, ok := f(i); ok {
+				dst[at] = d
 				at++
 			}
 		}

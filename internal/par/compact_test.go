@@ -55,8 +55,8 @@ func TestFilterMapIntoReusesDst(t *testing.T) {
 	}
 }
 
-// TestCompactIntoCallsOncePerElement: FilterMapInto's transform and
-// PackIndexInto's predicate run exactly once per element at every worker
+// TestCompactIntoCallsOncePerElement: FilterMapInto's and PackIndexInto's
+// transforms run exactly once per element (per index) at every worker
 // count, for lengths around the chunk boundaries and for survivor patterns
 // that leave whole chunks empty or full, and a dst shorter than the input
 // grows to hold the result.
@@ -89,15 +89,24 @@ func TestCompactIntoCallsOncePerElement(t *testing.T) {
 				}
 
 				calls.Store(0)
-				idx := PackIndexInto(p, n, make([]uint32, 0, n/2), nil, func(i int) bool {
+				idx := PackIndexInto(p, n, make([]uint32, 0, n/2), nil, func(i int) (uint32, bool) {
 					calls.Add(1)
-					return keep(src[i])
+					return uint32(i), keep(src[i])
 				})
 				if c := calls.Load(); c != int64(n) {
 					t.Fatalf("p=%d n=%d %s: keep called %d times, want %d", p, n, name, c, n)
 				}
 				if !slices.Equal(idx, PackIndex(1, n, func(i int) bool { return keep(src[i]) })) {
 					t.Fatalf("p=%d n=%d %s: PackIndexInto mismatch", p, n, name)
+				}
+
+				calls.Store(0)
+				got = PackIndexInto(p, n, make([]int, 0, n/2), nil, func(i int) (int, bool) { return f(src[i]) })
+				if c := calls.Load(); c != int64(n) {
+					t.Fatalf("p=%d n=%d %s: PackIndexInto called f %d times, want %d", p, n, name, c, n)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("p=%d n=%d %s: PackIndexInto map mismatch (%d vs %d elems)", p, n, name, len(got), len(want))
 				}
 			}
 		}
@@ -118,7 +127,7 @@ func TestPackIndexIntoMatchesPackIndex(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		for _, n := range []int{0, 1, 10, 1000, 1 << 14} {
 			want := PackIndex(p, n, keep)
-			got := PackIndexInto(p, n, nil, nil, keep)
+			got := PackIndexInto(p, n, nil, nil, func(i int) (uint32, bool) { return uint32(i), keep(i) })
 			if !slices.Equal(got, want) {
 				t.Fatalf("p=%d n=%d: PackIndexInto differs from PackIndex", p, n)
 			}
@@ -146,7 +155,7 @@ func TestSequentialCompactionPathsAllocationFree(t *testing.T) {
 		t.Fatalf("sequential FilterInto allocated %v times per run", n)
 	}
 	idx := make([]uint32, 0, len(src))
-	keepIdx := func(i int) bool { return i%3 == 0 }
+	keepIdx := func(i int) (uint32, bool) { return uint32(i), i%3 == 0 }
 	if n := testing.AllocsPerRun(20, func() {
 		idx = PackIndexInto(1, len(src), idx, pad, keepIdx)[:0]
 	}); n != 0 {

@@ -30,7 +30,8 @@
 //     ForCollectInto) that write into caller-owned buffers with
 //     cache-line-padded per-worker counter blocks (PadBlock, PadStride) so
 //     steady-state callers allocate nothing. FilterMapInto and
-//     PackIndexInto call their transform or predicate once per element, and
+//     PackIndexInto call their transform once per element (PackIndexInto
+//     once per index, for callers that read their input by index), and
 //     need a dst that holds the whole input; closing the gaps between the
 //     workers' survivor runs is a serial copy on the calling goroutine.
 //   - Sorting: SortUint64, SortFunc.
