@@ -164,7 +164,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mstserve", flag.ContinueOnError)
 	var (
 		addr          = fs.String("addr", ":8080", "listen address")
-		workers       = fs.Int("workers", 0, "per-solve worker count (0 = GOMAXPROCS)")
+		workers       = fs.Int("workers", 0, "per-solve and upload-decode worker count (0 = auto: one worker per 524288 input elements, up to GOMAXPROCS)")
 		deadline      = fs.Duration("deadline", 30*time.Second, "default per-request solve budget")
 		maxDeadline   = fs.Duration("max-deadline", 5*time.Minute, "cap on client-requested ?deadline")
 		maxBody       = fs.Int64("max-body", 256<<20, "largest accepted request body in bytes")

@@ -34,7 +34,7 @@ func run(args []string, stdout io.Writer) error {
 		path    = fs.String("graph", "", "input graph (.llpg binary or DIMACS .gr)")
 		alg     = fs.String("alg", "llp-boruvka", "algorithm to certify")
 		against = fs.String("against", "kruskal", "cross-check algorithm")
-		workers = fs.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "worker count (0 = auto: one worker per 524288 input elements, up to GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

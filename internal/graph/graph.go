@@ -11,6 +11,10 @@
 // adjacency an algorithm reads was built by FromEdges from checked edges
 // and passed Validate.
 //
+// Every builder and loader takes a worker count p. An explicit p > 0 is
+// used as given; p <= 0 is auto, sized by the number of edges
+// (par.WorkersFor), so inputs below a million edges build on one worker.
+//
 // Weights are finite non-negative float32 values. The paper assumes distinct
 // edge weights; rather than requiring that of inputs, every comparison in
 // this repository uses the packed total order (weight, edge id) from
@@ -177,7 +181,7 @@ func (g *CSR) MinArcKeys(p int) []uint64 {
 // and the rows are then merged per vertex. Edge i's key is PackKey(W, i),
 // the key both of its arcs carry.
 func minEdgeKeys(p, n int, edges []Edge) []uint64 {
-	p = par.Workers(p)
+	p = par.WorkersFor(p, len(edges))
 	m := len(edges)
 	chunks := edgeChunks(p, n, m)
 	mwe := make([]uint64, n)
@@ -244,7 +248,7 @@ func FromEdges(p, n int, edges []Edge, opts ...BuildOption) (*CSR, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	p = par.Workers(p)
+	p = par.WorkersFor(p, len(edges))
 	m0 := len(edges)
 	chunks := edgeChunks(p, n, m0)
 	chunk := func(c int) []Edge { return edges[c*m0/chunks : (c+1)*m0/chunks] }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"llpmst/internal/gen"
+	"llpmst/internal/graph"
 	"llpmst/internal/obs"
 )
 
@@ -47,45 +48,80 @@ func TestFlightRecorderCountersMatchWorkMetrics(t *testing.T) {
 
 // TestFlightRecorderRoundSeriesFromAlgorithms drives real runs and checks
 // the convergence view the tentpole exists for: the Boruvka families must
-// produce one segment per contraction round with strictly decreasing live
-// edges, and the Prim families one segment per wave with early-fix /
-// heap-pop activity recorded.
+// produce one segment per contraction round, and the Prim families one
+// segment per wave with early-fix / heap-pop activity recorded.
+//
+// LLP-Boruvka's live edges shrink strictly within each phase. On a graph
+// with m >= 3n the rounds first run on the light edges; once those fall
+// inside components, the llp-boruvka.relabel pass brings in the heavy
+// survivors, so the gauge may rise once, at the round after that span. The
+// dense geometric fixture keeps heavy survivors and must show the rise
+// (its series reads 6618 → 960 → 190 → 22 → 1 → 971 → 382 → 51); the ER
+// fixture's relabel pass keeps none.
 func TestFlightRecorderRoundSeriesFromAlgorithms(t *testing.T) {
 	g := gen.ErdosRenyi(1, 500, 4000, gen.WeightUniform, 33)
 
-	t.Run("llp-boruvka", func(t *testing.T) {
-		rec := obs.NewFlightRecorder(2, 1<<16)
-		var m WorkMetrics
-		if _, err := LLPBoruvka(g, Options{Workers: 2, Observer: rec, Metrics: &m}); err != nil {
-			t.Fatal(err)
-		}
-		series := rec.RoundSeries()
-		if int64(len(series)) != m.Rounds {
-			t.Fatalf("round series has %d segments, run had %d rounds", len(series), m.Rounds)
-		}
-		prev := int64(g.NumEdges()) + 1
-		var jumpAdvances int64
-		for i, rs := range series {
-			if rs.Round != int64(i+1) {
-				t.Fatalf("segment %d carries round %d", i, rs.Round)
+	for _, tc := range []struct {
+		name     string
+		g        *graph.CSR
+		wantRise bool
+	}{
+		{"llp-boruvka", g, false},
+		{"llp-boruvka-dense", gen.Geometric(1, 1000, gen.ConnectivityRadius(1000), 42), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewFlightRecorder(2, 1<<16)
+			var m WorkMetrics
+			if _, err := LLPBoruvka(tc.g, Options{Workers: 2, Observer: rec, Metrics: &m}); err != nil {
+				t.Fatal(err)
 			}
-			live, ok := rs.Gauge(obs.GaugeLiveEdges)
-			if !ok {
-				t.Fatalf("round %d has no live-edge sample", rs.Round)
+			// relabel is the round whose contraction ran the relabel pass
+			// (0: none ran).
+			var relabel int64
+			for _, e := range rec.Events() {
+				if e.Kind == obs.EvSpanEnd && rec.SpanName(e.ID) == "llp-boruvka.relabel" {
+					if relabel != 0 {
+						t.Fatalf("relabel spans in rounds %d and %d", relabel, e.Round)
+					}
+					relabel = int64(e.Round)
+				}
 			}
-			if live >= prev {
-				t.Fatalf("live edges did not shrink: round %d has %d, previous %d", rs.Round, live, prev)
+			series := rec.RoundSeries()
+			if int64(len(series)) != m.Rounds {
+				t.Fatalf("round series has %d segments, run had %d rounds", len(series), m.Rounds)
 			}
-			prev = live
-			if rs.Counter(obs.CtrRounds) != 1 {
-				t.Fatalf("round %d segment contains %d round counts", rs.Round, rs.Counter(obs.CtrRounds))
+			prev := int64(tc.g.NumEdges()) + 1
+			var jumpAdvances int64
+			rose := false
+			for i, rs := range series {
+				if rs.Round != int64(i+1) {
+					t.Fatalf("segment %d carries round %d", i, rs.Round)
+				}
+				live, ok := rs.Gauge(obs.GaugeLiveEdges)
+				if !ok {
+					t.Fatalf("round %d has no live-edge sample", rs.Round)
+				}
+				switch {
+				case relabel > 0 && rs.Round == relabel+1:
+					rose = live > prev // a new phase: the heavy survivors
+				case live >= prev:
+					t.Fatalf("live edges did not shrink within a phase: round %d has %d, previous %d (relabel in round %d)",
+						rs.Round, live, prev, relabel)
+				}
+				prev = live
+				if rs.Counter(obs.CtrRounds) != 1 {
+					t.Fatalf("round %d segment contains %d round counts", rs.Round, rs.Counter(obs.CtrRounds))
+				}
+				jumpAdvances += rs.Counter(obs.CtrJumpAdvances)
 			}
-			jumpAdvances += rs.Counter(obs.CtrJumpAdvances)
-		}
-		if jumpAdvances != m.JumpAdvances {
-			t.Errorf("per-round jump advances sum to %d, WorkMetrics says %d", jumpAdvances, m.JumpAdvances)
-		}
-	})
+			if tc.wantRise && !rose {
+				t.Errorf("live edges never rose after the relabel pass (relabel in round %d of %d)", relabel, len(series))
+			}
+			if jumpAdvances != m.JumpAdvances {
+				t.Errorf("per-round jump advances sum to %d, WorkMetrics says %d", jumpAdvances, m.JumpAdvances)
+			}
+		})
+	}
 
 	t.Run("llp-prim", func(t *testing.T) {
 		rec := obs.NewFlightRecorder(1, 1<<16)
@@ -132,6 +168,37 @@ func TestFlightRecorderWorkerSpans(t *testing.T) {
 	}
 	if _, ok := rec.SpanSummary("llp-boruvka.parents.chunk"); !ok {
 		t.Fatal("no latency digest for the chunk span")
+	}
+}
+
+// TestAutoWorkersRunOneTrack: an auto worker count (Workers: 0) runs a
+// graph below the parallel share on one worker, so every parent chunk span
+// lands on one track. An explicit two on the same graph still reaches the
+// parallel path and puts the spans on two tracks.
+func TestAutoWorkersRunOneTrack(t *testing.T) {
+	g := gen.ErdosRenyi(1, 3000, 30000, gen.WeightUniform, 7)
+	tracks := func(workers int) map[int16]bool {
+		rec := obs.NewFlightRecorder(2, 1<<16)
+		var col obs.Collector = rec
+		if workers == 2 {
+			col = &twoWorkerGate{FlightRecorder: rec, seen: map[int]bool{}, both: make(chan struct{})}
+		}
+		if _, err := LLPBoruvka(g, Options{Workers: workers, Observer: col}); err != nil {
+			t.Fatal(err)
+		}
+		out := map[int16]bool{}
+		for _, e := range rec.Events() {
+			if e.Kind == obs.EvSpanEnd && rec.SpanName(e.ID) == "llp-boruvka.parents.chunk" {
+				out[e.Worker] = true
+			}
+		}
+		return out
+	}
+	if got := tracks(0); len(got) != 1 {
+		t.Errorf("Workers: 0: parent chunk spans on %d worker tracks, want 1 (%v)", len(got), got)
+	}
+	if got := tracks(2); len(got) != 2 {
+		t.Errorf("Workers: 2: parent chunk spans on %d worker tracks, want 2 (%v)", len(got), got)
 	}
 }
 

@@ -44,7 +44,7 @@ func kruskal(g *graph.CSR, mtr *WorkMetrics) *Forest {
 // classical algorithm §III discusses and a natural extra baseline for the
 // harness.
 func FilterKruskal(g *graph.CSR, opts Options) *Forest {
-	p := opts.workers()
+	p := opts.workers(g)
 	n := g.NumVertices()
 	m := g.NumEdges()
 	keys := make([]uint64, m)

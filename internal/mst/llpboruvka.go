@@ -99,7 +99,7 @@ func lightPivot(edges []graph.Edge, n int, sample []uint64) uint64 {
 // converted into a *par.PanicError under the same partial-forest contract
 // (see recoverPanic).
 func LLPBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
-	p := opts.workers()
+	p := opts.workers(g)
 	n := g.NumVertices()
 	ws, release := opts.workspace()
 	defer release()

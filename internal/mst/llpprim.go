@@ -235,7 +235,7 @@ func LLPPrimParallel(g *graph.CSR, opts Options) (f *Forest, err error) {
 	defer release()
 	ids := ws.idsBuf(n)[:0]
 	defer recoverPanic(AlgLLPPrimParallel, g, &ids, n-1, &f, &err)
-	p := opts.workers()
+	p := opts.workers(g)
 	mwe := minWeightEdges(p, g)
 	earlyFix := !opts.NoEarlyFix
 	staging := !opts.NoStaging

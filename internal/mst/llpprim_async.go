@@ -38,7 +38,7 @@ import (
 // subset of the canonical MSF.
 func LLPPrimAsync(g *graph.CSR, opts Options) (f *Forest, err error) {
 	n := g.NumVertices()
-	p := opts.workers()
+	p := opts.workers(g)
 	ws, release := opts.workspace()
 	defer release()
 

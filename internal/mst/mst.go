@@ -168,9 +168,12 @@ func (f *Forest) ParentArray(g *graph.CSR, root uint32) []int32 {
 
 // Options configures the parallel algorithms and the ablation switches for
 // the design choices DESIGN.md calls out. The zero value is the default
-// configuration with Workers = GOMAXPROCS.
+// configuration, with an auto worker count.
 type Options struct {
-	// Workers is the number of goroutines; <= 0 means GOMAXPROCS.
+	// Workers is the number of goroutines. An explicit count is used as
+	// given. <= 0 means auto: one worker per 2^19 elements of n+m, at least
+	// one and at most GOMAXPROCS (par.WorkersFor), so graphs below about a
+	// million elements run on one worker.
 	Workers int
 
 	// NoEarlyFix disables LLP-Prim's MWE early fixing (ablation): vertices
@@ -223,7 +226,11 @@ type Options struct {
 	Workspace *Workspace
 }
 
-func (o Options) workers() int { return par.Workers(o.Workers) }
+// workers resolves o.Workers for a run on g: an explicit count unchanged,
+// auto sized by n+m (see par.WorkersFor).
+func (o Options) workers(g *graph.CSR) int {
+	return par.WorkersFor(o.Workers, g.NumVertices()+g.NumEdges())
+}
 
 // Algorithm identifies one of the implemented MSF algorithms, for harness
 // registries.

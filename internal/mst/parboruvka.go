@@ -35,7 +35,7 @@ import (
 // results are assigned), is converted into a *par.PanicError under the same
 // partial-forest contract (see recoverPanic).
 func ParallelBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
-	p := opts.workers()
+	p := opts.workers(g)
 	n := g.NumVertices()
 	ws, release := opts.workspace()
 	defer release()

@@ -53,7 +53,7 @@ const shardArcTarget = 1024
 // (see ctx.go). All scratch comes from the Workspace, so warm steady-state
 // runs allocate O(1).
 func SemiringBoruvka(g *graph.CSR, opts Options) (f *Forest, err error) {
-	p := opts.workers()
+	p := opts.workers(g)
 	n := g.NumVertices()
 	ws, release := opts.workspace()
 	defer release()

@@ -21,6 +21,14 @@
 // work such as graph traversals; DefaultGrain amortizes that atomic over a
 // few microseconds of work.
 //
+// The grain sizes one chunk; WorkersFor sizes the team. Callers whose
+// worker count may be "auto" (the upload and solve path: graph loaders,
+// MinArcKeys, FromEdges, the mst backends, the resilient runner) resolve it
+// once from the input with WorkersFor: one worker per parallelShare (2^19)
+// elements, clamped to [1, GOMAXPROCS]. A second worker starts each phase
+// late and pays cross-core misses in the loops it shares, which smaller
+// inputs do not earn back. An explicit count is always used as given.
+//
 // # Families of helpers
 //
 //   - Loops: For (range chunks), ForEach (per index), Do (fixed thunks).

@@ -20,6 +20,24 @@ func Workers(p int) int {
 	return p
 }
 
+// parallelShare is the number of input elements each worker of an auto
+// worker count is given (see WorkersFor). Below two shares a second worker
+// mostly costs more CPU than the wall time it saves: it joins each phase
+// late, and its cross-core misses slow the loops it shares. Set from
+// BenchmarkLLPBoruvkaSizes (EXPERIMENTS "One worker below the share").
+const parallelShare = 1 << 19
+
+// WorkersFor resolves a requested worker count for an input of work
+// elements (n+m for a graph, m for an edge list). An explicit p > 0 is
+// returned unchanged. p <= 0 ("auto") gives one worker per parallelShare
+// elements, clamped to [1, runtime.GOMAXPROCS(0)].
+func WorkersFor(p, work int) int {
+	if p > 0 {
+		return p
+	}
+	return max(1, min(runtime.GOMAXPROCS(0), work/parallelShare))
+}
+
 // For runs body over the index range [0, n) using p workers. The range is
 // handed out in chunks of size grain (DefaultGrain if grain <= 0) through a
 // shared atomic counter, which gives dynamic load balancing for irregular

@@ -3,6 +3,7 @@ package par
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,33 @@ func TestWorkers(t *testing.T) {
 	}
 	if got := Workers(7); got != 7 {
 		t.Fatalf("Workers(7) = %d, want 7", got)
+	}
+}
+
+// TestWorkersFor pins the auto rule at GOMAXPROCS = 4, so the clamp is
+// reached: explicit counts pass through for any input size, and auto gives
+// one worker per parallelShare elements, at least one and at most
+// GOMAXPROCS.
+func TestWorkersFor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const s = parallelShare
+	works := []int{0, 1, s - 1, s, 2*s - 1, 2 * s, 3 * s, 4 * s, 4*s + 1, 100 * s}
+	for _, p := range []int{1, 2, 3, 7, 64} {
+		for _, work := range works {
+			if got := WorkersFor(p, work); got != p {
+				t.Errorf("WorkersFor(%d, %d) = %d, want %d unchanged", p, work, got, p)
+			}
+		}
+	}
+	for _, tc := range []struct{ work, want int }{
+		{0, 1}, {1, 1}, {s - 1, 1}, {s, 1}, {2*s - 1, 1}, {2 * s, 2},
+		{3*s - 1, 2}, {3 * s, 3}, {4 * s, 4}, {4*s + 1, 4}, {100 * s, 4},
+	} {
+		for _, p := range []int{0, -1} {
+			if got := WorkersFor(p, tc.work); got != tc.want {
+				t.Errorf("WorkersFor(%d, %d) = %d, want %d", p, tc.work, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -31,8 +31,9 @@ type Config struct {
 	// Solver executes cache-miss solves (normally the process's shared
 	// resilient Runner).
 	Solver Solver
-	// Workers is the CSR build parallelism for PutData decoding; <= 0 means
-	// GOMAXPROCS.
+	// Workers is the parallelism of PutData's decode and of the deferred
+	// CSR build. An explicit count is used as given; <= 0 is auto, sized by
+	// the graph's edge count (par.WorkersFor).
 	Workers int
 	// MemoryBudgetBytes LRU-bounds the summed resident cost of snapshots
 	// (CSR bytes plus the single-worker mst.EstimateScratchBytes a solve of

@@ -16,7 +16,7 @@
 // observation — the LLP-derived algorithms compute the same fixed point
 // with very different latency profiles per input — by racing a backup
 // algorithm against a slow primary after an adaptive delay learned from
-// per-algorithm latency EWMAs keyed by graph-size bucket; the first sound
+// per-algorithm latency EWMAs keyed by graph-shape bucket; the first sound
 // forest wins and the loser is cancelled. A primary cancelled because its
 // backup won records its elapsed time as a lower bound on its latency: it
 // seeds an empty cell and raises a mean it exceeds, so a primary that

@@ -8,13 +8,13 @@ import (
 	"llpmst/internal/mst"
 )
 
-// latencyTracker learns per-algorithm latency profiles keyed by graph-size
-// bucket (log2 of n+m, so one bucket spans a factor-of-two size band). For
-// each (algorithm, bucket) cell it maintains an exponentially weighted
-// moving average of the latency and of its absolute deviation — a cheap,
-// O(1)-memory stand-in for a tail quantile: mean + k·dev tracks a high
-// percentile of well-behaved latency distributions and adapts when an
-// algorithm's profile shifts. The hedged runner uses it twice: to order the
+// latencyTracker learns per-algorithm latency profiles keyed by graph-shape
+// bucket (log2 of n and of m, so one bucket spans a factor-of-two band of
+// each; see sizeBucket). For each (algorithm, bucket) cell it maintains an
+// exponentially weighted moving average of the latency and of its
+// absolute deviation — a cheap, O(1)-memory stand-in for a tail quantile:
+// mean + k·dev tracks a high percentile of well-behaved latency
+// distributions and adapts when an algorithm's profile shifts. The hedged runner uses it twice: to order the
 // portfolio (fastest learned algorithm first) and to pick the hedge delay
 // (fire the backup when the primary exceeds its learned tail).
 type latencyTracker struct {
@@ -45,8 +45,15 @@ func newLatencyTracker() *latencyTracker {
 	return &latencyTracker{cells: make(map[latKey]*latCell)}
 }
 
-// sizeBucket buckets a graph by log2(n+m).
-func sizeBucket(g sized) int { return bits.Len(uint(g.NumVertices() + g.NumEdges())) }
+// sizeBucket buckets a graph by its shape, (bits.Len(n), bits.Len(m)),
+// packed into one int. Keying n and m apart keeps graphs of about one n+m
+// but different density in separate cells: a road grid (n = 2^16,
+// m ≈ 1.2n) and an ER graph (n = 2^14, m = 2^17) have nearly equal n+m,
+// the road grid solves slower, and a shared cell would set its hedge
+// delay from the faster graph's samples.
+func sizeBucket(g sized) int {
+	return bits.Len(uint(g.NumVertices()))<<8 | bits.Len(uint(g.NumEdges()))
+}
 
 // sized is the fragment of graph.CSR the tracker needs (kept tiny for
 // tests).

@@ -28,7 +28,10 @@ type Config struct {
 	Primary mst.Algorithm
 	Backup  mst.Algorithm
 
-	// Workers is the per-solve goroutine count; <= 0 means GOMAXPROCS.
+	// Workers is the per-solve goroutine count. An explicit count is used
+	// as given. <= 0 means auto, resolved once per solve from the graph's
+	// n+m by par.WorkersFor; admission prices and every leg runs that
+	// resolved count.
 	Workers int
 
 	// DefaultDeadline bounds solves whose context has no deadline of its
@@ -37,7 +40,7 @@ type Config struct {
 
 	// HedgeDelay, when > 0, is a fixed delay before the backup launches.
 	// When 0 the delay is adaptive: the primary's learned tail latency for
-	// the graph's size bucket, clamped to [HedgeFloor, HedgeCeil].
+	// the graph's shape bucket, clamped to [HedgeFloor, HedgeCeil].
 	HedgeDelay time.Duration
 	// HedgeFloor and HedgeCeil clamp the adaptive delay (defaults 1ms and
 	// 1s). The floor also serves as the cold-start delay before any
@@ -399,7 +402,8 @@ func (r *Runner) solve(ctx context.Context, sp obs.Span, g *graph.CSR) (Result, 
 		}
 	}
 
-	release, err := r.adm.admit(g.NumVertices(), g.NumEdges(), par.Workers(r.cfg.Workers))
+	workers := par.WorkersFor(r.cfg.Workers, g.NumVertices()+g.NumEdges())
+	release, err := r.adm.admit(g.NumVertices(), g.NumEdges(), workers)
 	if err != nil {
 		r.shed.Add(1)
 		col.Count(obs.CtrAdmitShed, 1)
@@ -434,7 +438,7 @@ func (r *Runner) solve(ctx context.Context, sp obs.Span, g *graph.CSR) (Result, 
 		if len(algs) == 0 {
 			break
 		}
-		win, errs := r.race(ctx, col, legRef, g, bucket, algs, &res)
+		win, errs := r.race(ctx, col, legRef, g, bucket, workers, algs, &res)
 		legErrs = append(legErrs, errs...)
 		if win == nil {
 			break
@@ -496,9 +500,9 @@ func (r *Runner) solve(ctx context.Context, sp obs.Span, g *graph.CSR) (Result, 
 // race runs one hedged pass over algs: the first allowed algorithm starts
 // immediately, the next starts after the hedge delay (or at once when the
 // first fails), and the first CheckForest-clean forest wins; the loser's
-// context is cancelled. Returns the winner (nil if every leg failed) and
-// the losing legs' errors.
-func (r *Runner) race(ctx context.Context, col obs.Collector, ref obs.TraceRef, g *graph.CSR, bucket int, algs []mst.Algorithm, res *Result) (*legOutcome, []error) {
+// context is cancelled. Every leg runs on workers goroutines. Returns the
+// winner (nil if every leg failed) and the losing legs' errors.
+func (r *Runner) race(ctx context.Context, col obs.Collector, ref obs.TraceRef, g *graph.CSR, bucket, workers int, algs []mst.Algorithm, res *Result) (*legOutcome, []error) {
 	legCtx, cancelLegs := context.WithCancel(ctx)
 	defer cancelLegs()
 	results := make(chan legOutcome, len(algs))
@@ -526,7 +530,7 @@ func (r *Runner) race(ctx context.Context, col obs.Collector, ref obs.TraceRef, 
 			res.Attempts++
 			r.legs.Add(1)
 			r.wg.Add(1)
-			go r.runLeg(legCtx, col, ref, g, alg, bucket, hedge, probe, &decided, results)
+			go r.runLeg(legCtx, col, ref, g, alg, bucket, workers, hedge, probe, &decided, results)
 			return true
 		}
 		return false
@@ -591,13 +595,14 @@ func (r *Runner) race(ctx context.Context, col obs.Collector, ref obs.TraceRef, 
 // (panics recovered into typed errors), the structural verification gate,
 // then breaker/latency/stat accounting. It always sends exactly one
 // legOutcome and never blocks (the results channel has one slot per leg).
-func (r *Runner) runLeg(ctx context.Context, col obs.Collector, ref obs.TraceRef, g *graph.CSR, alg mst.Algorithm, bucket int, hedge, probe bool, decided *atomic.Bool, results chan<- legOutcome) {
+func (r *Runner) runLeg(ctx context.Context, col obs.Collector, ref obs.TraceRef, g *graph.CSR, alg mst.Algorithm, bucket, workers int, hedge, probe bool, decided *atomic.Bool, results chan<- legOutcome) {
 	defer r.wg.Done()
 	// The leg span is started from a goroutine the request does not join
 	// (hedge losers outlive the response); the trace store's generation
 	// check makes this safe even if the slot has been recycled by then.
 	sp := ref.Start("resilient.leg")
 	sp.SetAttr("alg", string(alg))
+	sp.SetInt("workers", int64(workers))
 	if hedge {
 		sp.SetInt("hedge", 1)
 	}
@@ -617,9 +622,8 @@ func (r *Runner) runLeg(ctx context.Context, col obs.Collector, ref obs.TraceRef
 			}
 		}()
 		r.chaos.strike(ctx, alg)
-		f, err = mst.RunCtx(ctx, alg, g, mst.Options{Workers: r.cfg.Workers, Observer: countsOnly{col}})
+		f, err = mst.RunCtx(ctx, alg, g, mst.Options{Workers: workers, Observer: countsOnly{col}})
 	}()
-	elapsed := time.Since(start)
 
 	checkFailed := false
 	if err == nil {
@@ -630,6 +634,10 @@ func (r *Runner) runLeg(ctx context.Context, col obs.Collector, ref obs.TraceRef
 			err = fmt.Errorf("resilient: %s produced an unsound forest: %w", alg, cerr)
 		}
 	}
+	// The latency a leg teaches the tracker runs through the gate: the
+	// hedge timer races the primary's checked forest, not its raw result,
+	// so a delay learned without CheckForest fires on ordinary solves.
+	elapsed := time.Since(start)
 
 	b := r.breakerFor(alg)
 	switch {

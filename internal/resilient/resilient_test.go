@@ -3,6 +3,7 @@ package resilient
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,6 +140,44 @@ func TestLatencyLowerBoundOnlyRaises(t *testing.T) {
 	lt.observeLowerBound(alg, 11, 30*time.Millisecond)
 	if m, _ := lt.mean(alg, 11); m <= 10*time.Millisecond {
 		t.Fatalf("a bound above the mean left it at %v", m)
+	}
+}
+
+// shape is a sized graph stand-in for tracker-level tests.
+type shape struct{ n, m int }
+
+func (s shape) NumVertices() int { return s.n }
+func (s shape) NumEdges() int    { return s.m }
+
+// TestLatencyCellPerShape: two shapes with one ⌊log₂(n+m)⌋ — solve-cold's
+// road grid and ER graph — learn in separate cells, so the slower shape's
+// hedge delay comes from its own samples, not the faster one's.
+func TestLatencyCellPerShape(t *testing.T) {
+	road, er := shape{1 << 16, 78643}, shape{1 << 14, 1 << 17}
+	if a, b := bits.Len(uint(road.n+road.m)), bits.Len(uint(er.n+er.m)); a != b {
+		t.Fatalf("fixture: log2(n+m) differs (%d, %d)", a, b)
+	}
+	rb, eb := sizeBucket(road), sizeBucket(er)
+	if rb == eb {
+		t.Fatalf("road and er share bucket %d", rb)
+	}
+	lt := newLatencyTracker()
+	alg := mst.AlgLLPBoruvka
+	floor, ceil := time.Millisecond, time.Second
+	for i := 0; i < 20; i++ {
+		lt.observe(alg, eb, 5*time.Millisecond)
+	}
+	if d := lt.hedgeDelay(alg, rb, floor, ceil); d != floor {
+		t.Fatalf("road's cold hedge delay %v, want the floor: it read er's samples", d)
+	}
+	for i := 0; i < 20; i++ {
+		lt.observe(alg, rb, 12*time.Millisecond)
+	}
+	if d := lt.hedgeDelay(alg, rb, floor, ceil); d < 11*time.Millisecond || d > 13*time.Millisecond {
+		t.Fatalf("road's hedge delay %v, want its own ~12ms", d)
+	}
+	if d := lt.hedgeDelay(alg, eb, floor, ceil); d < 4*time.Millisecond || d > 6*time.Millisecond {
+		t.Fatalf("er's hedge delay %v, want its own ~5ms", d)
 	}
 }
 
@@ -620,7 +659,7 @@ func TestFallbackWhenPortfolioPanics(t *testing.T) {
 	results := make(chan legOutcome, 1)
 	var decided atomic.Bool
 	r.wg.Add(1)
-	go r.runLeg(context.Background(), obs.Nop{}, obs.TraceRef{}, g, mst.AlgLLPBoruvka, sizeBucket(g), false, false, &decided, results)
+	go r.runLeg(context.Background(), obs.Nop{}, obs.TraceRef{}, g, mst.AlgLLPBoruvka, sizeBucket(g), 1, false, false, &decided, results)
 	out := <-results
 	var pe *par.PanicError
 	if out.err == nil || !errors.As(out.err, &pe) {

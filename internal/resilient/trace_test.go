@@ -113,3 +113,32 @@ func TestHedgedSolvesEmitConsistentTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestLegSpanCarriesResolvedWorkers: a leg span records the worker count
+// its algorithm ran on. An auto count (Workers: 0) resolves to one worker
+// on a small graph, and an explicit count is passed through unchanged.
+func TestLegSpanCarriesResolvedWorkers(t *testing.T) {
+	g := gen.ErdosRenyi(1, 300, 1200, gen.WeightUniform, 41)
+	for _, tc := range []struct{ cfg, want int }{{0, 1}, {3, 3}} {
+		r := New(Config{Workers: tc.cfg, DisableHedge: true})
+		st := obs.NewTraceStore(obs.TraceStoreConfig{Capacity: 8, MaxActive: 8, SpanCap: 32, SlowWarmup: 1 << 30})
+		root := st.StartTrace("solve", obs.TraceID{}, obs.SpanID{}, obs.FlagSampled)
+		if _, err := r.Solve(obs.ContextWithTrace(context.Background(), root.Ref()), g); err != nil {
+			t.Fatal(err)
+		}
+		root.Finish()
+		legs := 0
+		for _, sp := range waitTrace(t, st, root.TraceID()).Spans {
+			if sp.Name != "resilient.leg" {
+				continue
+			}
+			legs++
+			if sp.Attrs["workers"] != int64(tc.want) {
+				t.Errorf("Workers: %d: leg span workers = %v, want %d", tc.cfg, sp.Attrs["workers"], tc.want)
+			}
+		}
+		if legs == 0 {
+			t.Fatalf("Workers: %d: no resilient.leg span", tc.cfg)
+		}
+	}
+}

@@ -64,8 +64,10 @@ type Stats = graph.Stats
 type Forest = mst.Forest
 
 // Options configures worker counts and the ablation switches of the LLP
-// algorithms. The zero value uses GOMAXPROCS workers and the paper-default
-// configuration.
+// algorithms. The zero value is the paper-default configuration with an
+// auto worker count: one worker per 2^19 elements of n+m, at least one and
+// at most GOMAXPROCS (see mst.Options.Workers). An explicit Workers is used
+// as given.
 type Options = mst.Options
 
 // Algorithm names one of the implemented MSF algorithms, for use with Run.
