@@ -25,26 +25,6 @@ func TestAPIGeneratorsSmallWorldAndBA(t *testing.T) {
 	}
 }
 
-func TestAPIDistributedMSF(t *testing.T) {
-	g := GenerateRoadNetwork(12, 12, 0.3, 4)
-	ids, stats, err := DistributedMSF(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Kruskal(g)
-	if len(ids) != len(want.EdgeIDs) {
-		t.Fatalf("%d edges, want %d", len(ids), len(want.EdgeIDs))
-	}
-	for i := range ids {
-		if ids[i] != want.EdgeIDs[i] {
-			t.Fatal("distributed edge set differs")
-		}
-	}
-	if stats.Phases == 0 || stats.Messages == 0 {
-		t.Fatalf("stats empty: %+v", stats)
-	}
-}
-
 func TestAPIMarketClearing(t *testing.T) {
 	prices, assign := MarketClearingPrices([][]int64{
 		{5, 1}, {5, 2},

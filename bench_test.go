@@ -14,8 +14,6 @@ import (
 	"testing"
 
 	"llpmst/internal/bench"
-	"llpmst/internal/dist"
-	"llpmst/internal/gen"
 	"llpmst/internal/graph"
 	"llpmst/internal/mst"
 )
@@ -222,38 +220,6 @@ func BenchmarkAblationPrimHeaps(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExtensionKKT measures the Karger-Klein-Tarjan randomized
-// linear-time MSF against Kruskal on both morphologies — the comparison the
-// paper defers to future work (§III/§VIII).
-func BenchmarkExtensionKKT(b *testing.B) {
-	for _, ds := range []string{"road", "rmat"} {
-		g := dataset(b, ds)
-		for _, alg := range []mst.Algorithm{mst.AlgKKT, mst.AlgKruskal} {
-			b.Run(fmt.Sprintf("%s/%s", ds, alg), func(b *testing.B) {
-				runAlg(b, g, alg, 1)
-			})
-		}
-	}
-}
-
-// BenchmarkDistributedGHS measures the simulated distributed protocol end
-// to end (simulation wall time; the interesting outputs are the
-// phase/round/message counts reported as metrics).
-func BenchmarkDistributedGHS(b *testing.B) {
-	g := gen.RoadNetwork(0, 32, 32, 0.2, 42)
-	b.ResetTimer()
-	var stats dist.SimStats
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, stats, err = dist.MSF(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(stats.Rounds), "rounds")
-	b.ReportMetric(float64(stats.Messages), "messages")
 }
 
 // BenchmarkVerifier measures the O((n+m) log n) cycle-property verifier,

@@ -11,9 +11,8 @@
 //
 // Experiments: tableI, fig2, fig3, fig4, sizesweep, ablation, work, perf,
 // semi (semiring vs pointer-based Boruvka across a density sweep), conv,
-// dist, chaos (also via -chaos, seeded by -chaos-seed), hedge (also via
-// -hedge: tail latency through the resilient runner, with and without
-// hedging), all.
+// hedge (also via -hedge: tail latency through the resilient runner, with
+// and without hedging, under stalls seeded by -chaos-seed), all.
 // Scales: test (~1k vertices), s (~65k), m (~260k), l (~1M).
 package main
 
@@ -46,7 +45,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mstbench", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment: tableI|fig2|fig3|fig4|sizesweep|ablation|work|perf|semi|conv|dist|chaos|hedge|all")
+		exp        = fs.String("exp", "all", "experiment: tableI|fig2|fig3|fig4|sizesweep|ablation|work|perf|semi|conv|hedge|all")
 		scale      = fs.String("scale", "s", "dataset scale: test|s|m|l")
 		trials     = fs.Int("trials", 3, "trials per cell (best time is reported)")
 		threads    = fs.String("threads", "", "comma-separated worker counts for fig3 (default 1,2,4,8,16,32)")
@@ -62,8 +61,7 @@ func run(args []string, stdout io.Writer) error {
 		chromeOut  = fs.String("chrome-trace", "", "write a Chrome Trace Event JSON (load in Perfetto/chrome://tracing; one track per worker, round markers) to this path")
 		roundCSV   = fs.String("round-csv", "", "write the per-round convergence series (counter deltas and gauge samples per round) as CSV to this path")
 		pprofSrv   = fs.String("pprof", "", "serve net/http/pprof plus live /metrics (Prometheus) and /progress (JSON) on this address (e.g. localhost:6060) for the duration of the run")
-		chaos      = fs.Bool("chaos", false, "also run the distributed protocol over a lossy network (drop=0.2 dup=0.1 reorder) and report recovery costs")
-		chaosSeed  = fs.Int64("chaos-seed", 1, "fault-injection seed for -chaos (identical seeds reproduce identical runs)")
+		chaosSeed  = fs.Int64("chaos-seed", 1, "fault-injection seed for -exp hedge's injected stalls (identical seeds reproduce identical runs)")
 		hedge      = fs.Bool("hedge", false, "also route the bench loop through the resilient runner and report p50/p95/p99 tail latency with and without hedging")
 		hedgeIters = fs.Int("hedge-iters", 40, "solves per dataset and mode for -hedge")
 	)
@@ -192,20 +190,6 @@ func run(args []string, stdout io.Writer) error {
 		{"perf", func() ([]bench.Result, error) { return bench.PerfCtx(ctx, stdout, sc, *trials) }},
 		{"semi", func() ([]bench.Result, error) { return bench.SemiCtx(ctx, stdout, sc, *trials) }},
 		{"conv", func() ([]bench.Result, error) { return bench.ConvergenceCtx(ctx, stdout, sc, *workers) }},
-		{"dist", func() ([]bench.Result, error) {
-			rows, err := bench.DistributedCtx(ctx, stdout, sc)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]bench.Result, 0, len(rows))
-			for _, r := range rows {
-				out = append(out, bench.Result{
-					Experiment: "dist", Dataset: r.Dataset, Algorithm: "ghs",
-					Edges: r.Edges,
-				})
-			}
-			return out, nil
-		}},
 		{"work", func() ([]bench.Result, error) {
 			rows, err := bench.WorkCtx(ctx, stdout, sc)
 			if err != nil {
@@ -235,25 +219,6 @@ func run(args []string, stdout io.Writer) error {
 					Experiment: "hedge", Dataset: r.Dataset,
 					Algorithm: "resilient-" + r.Mode, Workers: *workers,
 					Millis: r.P99Ms, MedianMs: r.P50Ms,
-				})
-			}
-			return out, nil
-		}})
-	}
-	if *chaos || *exp == "chaos" {
-		steps = append(steps, struct {
-			name string
-			f    func() ([]bench.Result, error)
-		}{"chaos", func() ([]bench.Result, error) {
-			rows, err := bench.ChaosCtx(ctx, stdout, sc, *chaosSeed)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]bench.Result, 0, len(rows))
-			for _, r := range rows {
-				out = append(out, bench.Result{
-					Experiment: "chaos", Dataset: r.Dataset, Algorithm: "ghs-chaos",
-					Edges: r.Edges, Speedup: r.RoundFactor,
 				})
 			}
 			return out, nil

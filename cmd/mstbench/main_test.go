@@ -116,6 +116,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-exp", "bogus", "-scale", "test"}, &out); err == nil {
 		t.Fatal("bogus experiment accepted")
 	}
+	if err := run([]string{"-exp", "dist", "-scale", "test"}, &out); err == nil || err.Error() != `unknown experiment "dist"` {
+		t.Fatalf("-exp dist: got %v, want unknown experiment", err)
+	}
 	if err := run([]string{"-scale", "bogus"}, &out); err == nil {
 		t.Fatal("bogus scale accepted")
 	}

@@ -172,8 +172,8 @@ func run(args []string, stdout io.Writer) error {
 		registryMem   = fs.Int64("registry-mem", 0, "LRU bound on resident registered-graph bytes (0 = unbounded)")
 		quotaRate     = fs.Float64("quota-rate", 0, "per-tenant solve quota in requests/second (0 = unlimited)")
 		quotaBurst    = fs.Float64("quota-burst", 0, "per-tenant quota burst capacity (0 = max(1, rate))")
-		primary       = fs.String("primary", "", "primary algorithm (empty = auto by density)")
-		backup        = fs.String("backup", "", "backup algorithm (empty = auto complement)")
+		primary       = fs.String("primary", "", "primary algorithm (empty = llp-boruvka)")
+		backup        = fs.String("backup", "", "backup algorithm (empty = llp-prim, or llp-boruvka for any other primary)")
 		hedgeDelay    = fs.Duration("hedge-delay", 0, "fixed hedge delay (0 = adaptive from learned tails)")
 		noHedge       = fs.Bool("no-hedge", false, "disable hedging; backup runs only after the primary fails")
 		verifyRate    = fs.Float64("verify-rate", 0.05, "fraction of wins additionally checked with VerifyMinimum")

@@ -50,13 +50,13 @@ func run(args []string, stdout io.Writer) error {
 
 	opts := llpmst.Options{Workers: *workers}
 	start := time.Now()
-	f, err := runAlg(*alg, g, opts, stdout)
+	f, err := llpmst.Run(llpmst.Algorithm(*alg), g, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "%s: %s in %v\n", *alg, f, time.Since(start))
 
-	ref, err := runAlg(*against, g, opts, stdout)
+	ref, err := llpmst.Run(llpmst.Algorithm(*against), g, opts)
 	if err != nil {
 		return err
 	}
@@ -71,21 +71,4 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "cycle-property certificate: minimal (verified in %v)\n", time.Since(start))
 	return nil
-}
-
-// runAlg computes the forest for one algorithm name. "ghs" is special: it
-// runs the distributed protocol on the simulated network and materializes
-// the elected edge ids as a Forest, so the same cross-check and
-// cycle-property certificate apply to the distributed result.
-func runAlg(alg string, g *llpmst.Graph, opts llpmst.Options, stdout io.Writer) (*llpmst.Forest, error) {
-	if alg == "ghs" {
-		ids, stats, err := llpmst.DistributedMSF(g)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(stdout, "ghs simulation: %d phases, %d rounds, %d messages\n",
-			stats.Phases, stats.Rounds, stats.Messages)
-		return llpmst.ForestFromEdgeIDs(g, ids), nil
-	}
-	return llpmst.Run(llpmst.Algorithm(alg), g, opts)
 }

@@ -122,7 +122,8 @@ func TestMinimumSpanningForestCtx(t *testing.T) {
 	if _, err := llpmst.MinimumSpanningForestCtx(ctx, g, llpmst.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: got %v, want wrapped context.Canceled", err)
 	}
-	// Workers==1 routes through LLP-Prim; exercise that path too.
+	// An explicit single worker runs LLP-Boruvka's one-worker path; exercise
+	// that too.
 	if _, err := llpmst.MinimumSpanningForestCtx(ctx, g, llpmst.Options{Workers: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled 1-worker: got %v, want wrapped context.Canceled", err)
 	}

@@ -35,7 +35,7 @@ func ExampleLLPBoruvka() {
 
 func ExampleRun() {
 	g := paperGraph()
-	for _, alg := range []llpmst.Algorithm{llpmst.AlgPrim, llpmst.AlgKruskal, llpmst.AlgSemiringBoruvka, llpmst.AlgKKT} {
+	for _, alg := range []llpmst.Algorithm{llpmst.AlgPrim, llpmst.AlgKruskal, llpmst.AlgSemiringBoruvka} {
 		f, err := llpmst.Run(alg, g, llpmst.Options{Workers: 2})
 		if err != nil {
 			panic(err)
@@ -46,14 +46,13 @@ func ExampleRun() {
 	// prim 16
 	// kruskal 16
 	// semi-boruvka 16
-	// kkt 16
 }
 
 func ExampleSemiringBoruvka() {
-	// Pick the backend by density, the same split the resilient portfolio
-	// uses: the semiring (sparse-matrix) formulation earns its keep when the
-	// graph is very dense (m >= 16n) and rows are long enough to amortize
-	// the matrix build; the pointer-based LLP-Boruvka wins on sparse inputs.
+	// Pick the backend by density: the semiring (sparse-matrix) formulation
+	// is aimed at very dense graphs (m >= 16n), whose rows are long enough
+	// to amortize the matrix build; the pointer-based LLP-Boruvka serves
+	// everything else.
 	g := paperGraph()
 	alg := llpmst.AlgLLPBoruvka
 	if g.NumEdges() >= 16*g.NumVertices() {
@@ -189,15 +188,6 @@ func ExampleShortestPaths() {
 	})
 	fmt.Println(llpmst.ShortestPaths(llpmst.LLPAsync, 2, g, 0))
 	// Output: [0 2 5]
-}
-
-func ExampleDistributedMSF() {
-	ids, _, err := llpmst.DistributedMSF(paperGraph())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(len(ids))
-	// Output: 4
 }
 
 func ExampleMarketClearingPrices() {

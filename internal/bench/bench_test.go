@@ -206,29 +206,12 @@ func TestWorkExperiment(t *testing.T) {
 	}
 }
 
-func TestDistributedExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := Distributed(&buf, ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if r.Stats.Phases < 1 || r.Stats.Messages == 0 {
-			t.Fatalf("row %s has empty stats: %+v", r.Dataset, r.Stats)
-		}
-		maxPhases := 2
-		for x := 1; x < r.Vertices; x *= 2 {
-			maxPhases++
-		}
-		if r.Stats.Phases > maxPhases {
-			t.Fatalf("%s: %d phases exceeds log bound %d", r.Dataset, r.Stats.Phases, maxPhases)
-		}
-	}
-	if !strings.Contains(buf.String(), "GHS") {
-		t.Fatal("missing table title")
+// The hedge table names each family's answering algorithms, most first and
+// ties by name.
+func TestAnsweredBy(t *testing.T) {
+	got := answeredBy(map[mst.Algorithm]int{mst.AlgLLPPrim: 2, mst.AlgLLPBoruvka: 56, mst.AlgKruskal: 2})
+	if want := "llp-boruvka 56, kruskal 2, llp-prim 2"; got != want {
+		t.Fatalf("answeredBy = %q, want %q", got, want)
 	}
 }
 

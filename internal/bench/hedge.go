@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"llpmst/internal/fault"
+	"llpmst/internal/mst"
 	"llpmst/internal/resilient"
 )
 
@@ -23,6 +25,7 @@ type HedgeRow struct {
 	P99Ms     float64
 	HedgeWins int
 	Fallbacks int
+	Answered  map[mst.Algorithm]int // solves answered, per algorithm
 }
 
 // HedgeCtx measures how hedged portfolio execution reshapes the latency
@@ -55,7 +58,7 @@ func HedgeCtx(ctx context.Context, w io.Writer, sc Scale, iters, workers int, se
 				},
 			})
 			lat := make([]time.Duration, 0, iters)
-			row := HedgeRow{Dataset: d.Name, Mode: mode}
+			row := HedgeRow{Dataset: d.Name, Mode: mode, Answered: map[mst.Algorithm]int{}}
 			for i := 0; i < iters; i++ {
 				if err := ctx.Err(); err != nil {
 					return rows, err
@@ -65,6 +68,7 @@ func HedgeCtx(ctx context.Context, w io.Writer, sc Scale, iters, workers int, se
 					return rows, fmt.Errorf("hedge %s/%s solve %d: %w", d.Name, mode, i, err)
 				}
 				lat = append(lat, res.Elapsed)
+				row.Answered[res.Algorithm]++
 				if res.HedgeWon {
 					row.HedgeWins++
 				}
@@ -93,11 +97,31 @@ func HedgeCtx(ctx context.Context, w io.Writer, sc Scale, iters, workers int, se
 			ms(r.P50Ms), ms(r.P95Ms), ms(r.P99Ms),
 			fmt.Sprintf("%.0f%%", 100*float64(r.HedgeWins)/float64(max(r.Solves, 1))),
 			fmt.Sprintf("%.0f%%", 100*float64(r.Fallbacks)/float64(max(r.Solves, 1))),
+			answeredBy(r.Answered),
 		})
 	}
 	PrintTable(w, "Hedged portfolio: tail latency under injected stragglers",
-		[]string{"dataset", "mode", "solves", "p50 ms", "p95 ms", "p99 ms", "hedge-win", "fallback"}, table)
+		[]string{"dataset", "mode", "solves", "p50 ms", "p95 ms", "p99 ms", "hedge-win", "fallback", "answered by"}, table)
 	return rows, nil
+}
+
+// answeredBy lists how many solves each algorithm answered, most first.
+func answeredBy(counts map[mst.Algorithm]int) string {
+	algs := make([]mst.Algorithm, 0, len(counts))
+	for a := range counts {
+		algs = append(algs, a)
+	}
+	sort.Slice(algs, func(i, j int) bool {
+		if counts[algs[i]] != counts[algs[j]] {
+			return counts[algs[i]] > counts[algs[j]]
+		}
+		return algs[i] < algs[j]
+	})
+	parts := make([]string, len(algs))
+	for i, a := range algs {
+		parts[i] = fmt.Sprintf("%s %d", a, counts[a])
+	}
+	return strings.Join(parts, ", ")
 }
 
 // percentileMs returns the p-th latency percentile in milliseconds

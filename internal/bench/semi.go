@@ -43,8 +43,8 @@ func SemiCtx(ctx context.Context, w io.Writer, sc Scale, trials int) ([]Result, 
 		n = 1 << 17
 	}
 	// Density sweep: Erdos-Renyi at fixed n with average degree 2, 8, and
-	// 32 (the same morphology `mstgen -type er` emits), landing one graph
-	// in each of the portfolio's sparse / dense / very-dense buckets.
+	// 32 (the same morphology `mstgen -type er` emits): m = n, 4n and 16n,
+	// one sparse, one dense and one very dense graph.
 	degrees := []int{2, 8, 32}
 	var results []Result
 	for _, deg := range degrees {

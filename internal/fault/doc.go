@@ -1,25 +1,30 @@
-// Package fault provides seeded, deterministic fault injection for the
-// simulated distributed network (internal/dist). A Plan describes what can
-// go wrong — per-arc message drop/duplicate/delay probabilities, round-level
-// reordering, and crash schedules (crash-stop and crash-restart) — and an
-// Injector turns the plan into a reproducible stream of fault decisions: the
-// same seed and the same sequence of queries always yield the same faults,
-// which is what makes chaos runs byte-for-byte replayable (the determinism
-// tests in internal/dist pin this).
+// Package fault provides seeded, deterministic fault injection. A Plan
+// describes what can go wrong — per-arc drop/duplicate/delay probabilities
+// and crash schedules (crash-stop and crash-restart) — and an Injector
+// turns the plan into a reproducible stream of fault decisions: the same
+// seed and the same sequence of queries always yield the same faults, which
+// is what makes chaos runs replayable.
 //
 // # Division of labor
 //
 // The injector is intentionally passive: it only answers questions ("should
-// this transmission drop?", "is this node alive at round r?"). The faulty
-// network fabric (dist.FaultyNetwork) owns all protocol consequences —
-// retransmission, deduplication, component dooming. The injector is not
-// safe for concurrent use; the simulation driver is single-threaded, which
-// is also what keeps the decision stream deterministic.
+// this transmission drop?", "is this node alive at round r?"). Its callers
+// own the consequences:
+//
+//   - the stream engine and the replication primary read crash schedules
+//     (Alive) to kill themselves at chosen points of a batch;
+//   - Link wraps an Injector as one seeded lossy replication connection
+//     (the replica loopback);
+//   - the resilient runner's chaos mode reads each portfolio leg's arc as
+//     "panic" (Drop) or "stall" (Delay).
+//
+// The injector is not safe for concurrent use; Link and the resilient
+// runner serialize their queries, which also keeps the decision stream
+// deterministic.
 //
 // # Public surface
 //
 // The root package re-exports Plan, Probs, and Crash as llpmst.FaultPlan,
 // llpmst.FaultProbs, and llpmst.FaultCrash for use with
-// llpmst.DistributedMSFFaulty; mstbench's -chaos/-chaos-seed flags build a
-// Plan from the command line for the chaos experiment.
+// llpmst.ResilientChaos.
 package fault

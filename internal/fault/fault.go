@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Probs configures the per-transmission fault probabilities of an arc.
 // The zero value injects nothing.
@@ -18,8 +15,6 @@ type Probs struct {
 	// MaxDelay bounds the extra rounds of a delayed transmission
 	// (default 4 when Delay > 0 and MaxDelay <= 0).
 	MaxDelay int
-	// Reorder shuffles the arrival order within each node's round inbox.
-	Reorder bool
 }
 
 // Crash schedules one node failure. Restart <= At means the node never
@@ -42,8 +37,8 @@ type Plan struct {
 	Seed int64
 	// Default applies to every arc without an override.
 	Default Probs
-	// Arcs overrides Default for specific arcs (keyed by the sender-side
-	// arc index of the simulated network).
+	// Arcs overrides Default for specific arcs (keyed by arc index: a
+	// Link's arc, or a portfolio algorithm's resilient.ChaosArc).
 	Arcs map[int64]Probs
 	// Crashes is the node failure schedule.
 	Crashes []Crash
@@ -56,29 +51,18 @@ type Stats struct {
 	Delayed    int64
 }
 
-// Injector answers fault queries for one simulation run. Create with New;
-// not safe for concurrent use.
+// Injector answers fault queries for one run. Create with New; not safe
+// for concurrent use.
 type Injector struct {
-	plan     Plan
-	rng      *rand.Rand
-	stats    Stats
-	reorder  bool
-	reported map[uint32]bool // crash-stop nodes already returned by NewlyDead
+	plan  Plan
+	rng   *rand.Rand
+	stats Stats
 }
 
 // New builds an injector for plan. The plan is captured by value; the
 // Crashes slice and Arcs map must not be mutated afterwards.
 func New(plan Plan) *Injector {
-	reorder := plan.Default.Reorder
-	for _, p := range plan.Arcs {
-		reorder = reorder || p.Reorder
-	}
-	return &Injector{
-		plan:     plan,
-		rng:      rand.New(rand.NewSource(plan.Seed)),
-		reorder:  reorder,
-		reported: make(map[uint32]bool),
-	}
+	return &Injector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 }
 
 // ArcProbs returns the effective probabilities for arc a.
@@ -115,17 +99,6 @@ func (in *Injector) Transmit(a int64) (drop, dup bool, delay int) {
 	return false, dup, delay
 }
 
-// Reordering reports whether any arc has reordering enabled (the fabric
-// then shuffles round inboxes via Shuffle).
-func (in *Injector) Reordering() bool { return in.reorder }
-
-// Shuffle applies a seeded permutation through swap, for inbox reordering.
-func (in *Injector) Shuffle(n int, swap func(i, j int)) {
-	if n > 1 {
-		in.rng.Shuffle(n, swap)
-	}
-}
-
 // Alive reports whether node v is up at round r under the crash schedule.
 func (in *Injector) Alive(v uint32, r int) bool {
 	for _, c := range in.plan.Crashes {
@@ -137,33 +110,6 @@ func (in *Injector) Alive(v uint32, r int) bool {
 		}
 	}
 	return true
-}
-
-// RestartPending reports whether some node is down at round r but scheduled
-// to restart later — traffic quiescence is then inconclusive, because the
-// revived node will produce and consume messages.
-func (in *Injector) RestartPending(r int) bool {
-	for _, c := range in.plan.Crashes {
-		if c.Restart > c.At && r >= c.At && r < c.Restart {
-			return true
-		}
-	}
-	return false
-}
-
-// NewlyDead returns the crash-stop nodes whose crash round has been reached
-// by round r and that have not been returned before, sorted ascending. The
-// fabric uses this to doom unreachable components exactly once.
-func (in *Injector) NewlyDead(r int) []uint32 {
-	var out []uint32
-	for _, c := range in.plan.Crashes {
-		if c.Restart <= c.At && r >= c.At && !in.reported[c.Node] {
-			in.reported[c.Node] = true
-			out = append(out, c.Node)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Stats returns the faults injected so far.

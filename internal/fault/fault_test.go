@@ -90,34 +90,4 @@ func TestCrashSchedules(t *testing.T) {
 	if !in.Alive(0, 1000) {
 		t.Fatal("unscheduled node reported dead")
 	}
-	// RestartPending covers exactly node 7's down window.
-	for r, want := range map[int]bool{1: false, 2: true, 9: true, 10: false, 20: false} {
-		if got := in.RestartPending(r); got != want {
-			t.Fatalf("RestartPending(%d) = %v, want %v", r, got, want)
-		}
-	}
-}
-
-func TestNewlyDeadOnceAndSorted(t *testing.T) {
-	in := New(Plan{
-		Seed: 1,
-		Crashes: []Crash{
-			{Node: 9, At: 3},
-			{Node: 2, At: 3},
-			{Node: 5, At: 1, Restart: 8}, // restart: never "dead"
-			{Node: 6, At: 7},
-		},
-	})
-	if got := in.NewlyDead(0); got != nil {
-		t.Fatalf("NewlyDead(0) = %v, want nil", got)
-	}
-	if got := in.NewlyDead(4); !slices.Equal(got, []uint32{2, 9}) {
-		t.Fatalf("NewlyDead(4) = %v, want [2 9]", got)
-	}
-	if got := in.NewlyDead(5); got != nil {
-		t.Fatalf("NewlyDead(5) repeated reports: %v", got)
-	}
-	if got := in.NewlyDead(7); !slices.Equal(got, []uint32{6}) {
-		t.Fatalf("NewlyDead(7) = %v, want [6]", got)
-	}
 }

@@ -154,8 +154,7 @@ func TestServedPathLeavesAdjacencyUnbuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	edgeList := []mst.Algorithm{
-		mst.AlgBoruvka, mst.AlgParallelBoruvka, mst.AlgSemiringBoruvka,
-		mst.AlgKruskal, mst.AlgFilterKruskal, mst.AlgKKT,
+		mst.AlgBoruvka, mst.AlgParallelBoruvka, mst.AlgSemiringBoruvka, mst.AlgKruskal,
 	}
 	for _, alg := range edgeList {
 		f, err := mst.Run(alg, g, mst.Options{Workers: 2})

@@ -4,8 +4,7 @@
 // variants), sequential Boruvka (Algorithm 3), a GBBS-style parallel Boruvka
 // baseline, a semiring (sparse-matrix) Boruvka whose per-round minimum-edge
 // selection is a min-plus SpMV over the contracted graph's adjacency matrix,
-// Kruskal and Filter-Kruskal, the randomized KKT algorithm, and two
-// verifiers.
+// Kruskal, and two verifiers.
 //
 // Every algorithm produces the same unique minimum spanning forest, because
 // all comparisons use the packed (weight, edge id) total order — the paper's
@@ -17,8 +16,7 @@
 // Run and RunCtx dispatch on an Algorithm constant; Algorithms() enumerates
 // the registered set. As a rule of thumb:
 //
-//   - AlgKruskal / AlgFilterKruskal: sequential oracles; FilterKruskal wins
-//     when most edges are heavier than the forest.
+//   - AlgKruskal: the sequential oracle every test checks against.
 //   - AlgPrim / AlgPrimLazy / AlgBoruvka: textbook baselines (Algorithms 2
 //     and 3 of the paper).
 //   - AlgLLPPrim, AlgLLPPrimParallel, AlgLLPPrimAsync: the paper's
@@ -30,15 +28,15 @@
 //     (graph.CSR.MinArcKeys, shared with LLP-Prim) instead of a write-min
 //     pass over all m edges, and its later rounds key each edge by its
 //     slot in the round's list, so the winning key names its edge. When
-//     m >= 3n its rounds run on the ~2n lightest edges first (the filter
-//     FilterKruskal applies to its sort) and take in the heavy rest in one
-//     relabel pass, so each heavy edge is read about twice instead of once
-//     per round.
+//     m >= 3n its rounds run on the ~2n lightest edges first (filter-
+//     Kruskal's idea) and take in the heavy rest in one relabel pass, so
+//     each heavy edge is read about twice instead of once per round.
 //   - AlgSemiringBoruvka: the sparse-matrix formulation — branch-free
-//     row-blocked min reductions with no atomics in the inner loop; it
-//     shines on dense graphs and is the resilient portfolio's pick when
-//     m >= 16n.
-//   - AlgKKT: randomized linear-work Karger–Klein–Tarjan.
+//     row-blocked min reductions with no atomics in the inner loop, aimed
+//     at dense graphs, whose rows are long.
+//
+// The served portfolio (internal/resilient) runs AlgLLPBoruvka first and
+// hedges it with the sequential AlgLLPPrim.
 //
 // Parallel algorithms draw all O(n+m) scratch from an Options.Workspace
 // arena (or a pooled default), so steady-state runs allocate O(1); see

@@ -9,7 +9,7 @@ import (
 
 // Incremental maintains a minimum spanning forest under online edge
 // insertions — the dynamic counterpart of the batch algorithms, built on the
-// same cycle property the verifier and KKT use: a new edge (u,v) enters the
+// same cycle property the verifier uses: a new edge (u,v) enters the
 // forest iff u and v are in different trees, or the heaviest edge on their
 // current tree path is heavier than the new edge (which it then replaces).
 //

@@ -27,8 +27,8 @@ type Forest struct {
 }
 
 // ForestFromEdgeIDs materializes a Forest from a raw edge id list (e.g. the
-// ids a distributed GHS run elects), leaving the caller's slice untouched.
-// The ids are trusted to form a forest; use CheckForest to verify.
+// ids a server reply lists), leaving the caller's slice untouched. The ids
+// are trusted to form a forest; use CheckForest to verify.
 func ForestFromEdgeIDs(g *graph.CSR, ids []uint32) *Forest {
 	return newForest(g, slices.Clone(ids), nil)
 }
@@ -210,11 +210,6 @@ type Options struct {
 	// hot paths are instrumented unconditionally at no cost.
 	Observer obs.Collector
 
-	// Seed feeds the randomized algorithms (KKT's sampling coins). Runs are
-	// reproducible for a fixed seed; the produced forest is the same unique
-	// MSF for every seed — randomness only affects the work.
-	Seed int64
-
 	// Workspace, when non-nil, supplies all O(n+m) scratch state of the
 	// parallel algorithms from a reusable arena instead of fresh
 	// allocations, so a caller running repeated queries reaches O(1)
@@ -248,8 +243,6 @@ const (
 	AlgLLPBoruvka      Algorithm = "llp-boruvka"    // Algorithm 6
 	AlgSemiringBoruvka Algorithm = "semi-boruvka"   // min-plus sparse-matrix backend
 	AlgKruskal         Algorithm = "kruskal"        // sort + union-find
-	AlgFilterKruskal   Algorithm = "filter-kruskal" // parallel filter variant
-	AlgKKT             Algorithm = "kkt"            // Karger-Klein-Tarjan randomized linear-time
 )
 
 // Algorithms lists every implemented algorithm in presentation order.
@@ -257,7 +250,7 @@ func Algorithms() []Algorithm {
 	return []Algorithm{
 		AlgPrim, AlgPrimLazy, AlgLLPPrim, AlgLLPPrimParallel, AlgLLPPrimAsync,
 		AlgBoruvka, AlgParallelBoruvka, AlgLLPBoruvka, AlgSemiringBoruvka,
-		AlgKruskal, AlgFilterKruskal, AlgKKT,
+		AlgKruskal,
 	}
 }
 
@@ -291,10 +284,6 @@ func Run(alg Algorithm, g *graph.CSR, opts Options) (*Forest, error) {
 		return SemiringBoruvka(g, opts)
 	case AlgKruskal:
 		return kruskal(g, opts.Metrics), nil
-	case AlgFilterKruskal:
-		return FilterKruskal(g, opts), nil
-	case AlgKKT:
-		return KKT(g, opts), nil
 	default:
 		return nil, fmt.Errorf("mst: unknown algorithm %q", alg)
 	}

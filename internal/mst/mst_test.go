@@ -219,7 +219,7 @@ func TestParallelAlgorithmsManyWorkerCounts(t *testing.T) {
 	oracle := Kruskal(g)
 	for _, w := range []int{1, 2, 3, 8, 16} {
 		opts := Options{Workers: w}
-		for _, alg := range []Algorithm{AlgLLPPrimParallel, AlgParallelBoruvka, AlgLLPBoruvka, AlgFilterKruskal} {
+		for _, alg := range []Algorithm{AlgLLPPrimParallel, AlgParallelBoruvka, AlgLLPBoruvka} {
 			f, err := Run(alg, g, opts)
 			if err != nil {
 				t.Fatal(err)

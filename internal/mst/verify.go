@@ -134,13 +134,7 @@ func newPathMaxIndex(g *graph.CSR, f *Forest) *pathMaxIndex {
 		e := g.Edge(id)
 		fedges[i] = cedge{u: e.U, v: e.V, key: g.EdgeKey(id)}
 	}
-	return newPathMaxFromEdges(g.NumVertices(), fedges)
-}
-
-// newPathMaxFromEdges builds the index for a forest given as an explicit
-// edge list over vertices [0, n) — the form KKT's F-heavy filter needs,
-// where the forest lives in a contracted vertex space.
-func newPathMaxFromEdges(n int, fedges []cedge) *pathMaxIndex {
+	n := g.NumVertices()
 	// Forest adjacency.
 	adjOff := make([]int32, n+1)
 	for _, e := range fedges {

@@ -258,7 +258,7 @@ func (r *FlightRecorder) WriteProgress(w io.Writer) error {
 // WriteRoundCSV writes the RoundSeries as CSV for convergence plots: one
 // row per round segment with the segment's bounds plus a column for every
 // counter or gauge that is nonzero anywhere in the series (so CSVs stay
-// narrow: a Boruvka run does not drag along GHS columns). Columns appear in
+// narrow: a Boruvka run does not drag along heap columns). Columns appear in
 // enum order, counters before gauges.
 func (r *FlightRecorder) WriteRoundCSV(w io.Writer) error {
 	series := r.RoundSeries()

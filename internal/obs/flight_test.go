@@ -368,11 +368,11 @@ func TestFlightRecorderRoundCSV(t *testing.T) {
 		t.Fatalf("csv header: %v", header)
 	}
 	// Only columns with data appear; jump_advances and live_edges must,
-	// ghs_messages must not.
+	// heap_push (never counted here) must not.
 	if !strings.Contains(lines[0], "jump_advances") || !strings.Contains(lines[0], "live_edges") {
 		t.Fatalf("csv header missing active columns: %s", lines[0])
 	}
-	if strings.Contains(lines[0], "ghs_messages") {
+	if strings.Contains(lines[0], "heap_push") {
 		t.Fatalf("csv header includes inactive column: %s", lines[0])
 	}
 	if !strings.HasPrefix(lines[1], "0,1,") || !strings.HasPrefix(lines[2], "1,2,") {

@@ -29,19 +29,6 @@ const (
 	// CtrEarlyFix counts vertices fixed through a minimum-weight edge
 	// without heap traffic (LLP-Prim's "second way").
 	CtrEarlyFix
-	// CtrGHSPhases counts Boruvka phases of the distributed GHS protocol.
-	CtrGHSPhases
-	// CtrGHSMessages counts messages delivered by the simulated network.
-	CtrGHSMessages
-	// CtrGHSRetransmits counts transport retransmissions of unacked
-	// messages on a lossy network (dist.FaultyNetwork).
-	CtrGHSRetransmits
-	// CtrFaultDropped counts messages dropped by the fault injector.
-	CtrFaultDropped
-	// CtrFaultDuplicated counts messages duplicated by the fault injector.
-	CtrFaultDuplicated
-	// CtrFaultDelayed counts messages delayed by the fault injector.
-	CtrFaultDelayed
 	// CtrSchedPanics counts worker panics recovered by the schedulers and
 	// converted into PanicError results.
 	CtrSchedPanics
@@ -149,18 +136,6 @@ func (c Counter) String() string {
 		return "heap.pop"
 	case CtrEarlyFix:
 		return "earlyfix"
-	case CtrGHSPhases:
-		return "ghs.phases"
-	case CtrGHSMessages:
-		return "ghs.messages"
-	case CtrGHSRetransmits:
-		return "ghs.retransmits"
-	case CtrFaultDropped:
-		return "fault.dropped"
-	case CtrFaultDuplicated:
-		return "fault.duplicated"
-	case CtrFaultDelayed:
-		return "fault.delayed"
 	case CtrSchedPanics:
 		return "sched.panics"
 	case CtrHedgeLaunched:
@@ -240,9 +215,6 @@ const (
 	// GaugeHeapSize is the priority-queue size at a wave boundary (Prim
 	// family).
 	GaugeHeapSize
-	// GaugeGHSActive is the number of still-active nodes entering a GHS
-	// phase.
-	GaugeGHSActive
 	// GaugeReplicaLag is how many batches the furthest-behind follower
 	// trails the primary's high-water mark, sampled at each quorum ack.
 	GaugeReplicaLag
@@ -262,8 +234,6 @@ func (g Gauge) String() string {
 		return "live_edges"
 	case GaugeHeapSize:
 		return "heap.size"
-	case GaugeGHSActive:
-		return "ghs.active"
 	case GaugeReplicaLag:
 		return "replica.lag"
 	}
@@ -318,7 +288,7 @@ func Or(col Collector) Collector {
 }
 
 // RoundMarker is implemented by collectors that segment their event stream
-// into algorithm rounds (waves, contraction rounds, GHS phases). Collectors
+// into algorithm rounds (waves, contraction rounds). Collectors
 // that only keep totals ignore round structure and need not implement it.
 type RoundMarker interface {
 	// Round declares that round r is starting now.

@@ -77,18 +77,3 @@ func BenchmarkSortUint64(b *testing.B) {
 		SortUint64(0, work)
 	}
 }
-
-func BenchmarkPackFunc(b *testing.B) {
-	const n = 1 << 19
-	src := make([]uint32, n)
-	for i := range src {
-		src[i] = uint32(i)
-	}
-	b.SetBytes(n * 4)
-	for i := 0; i < b.N; i++ {
-		out := PackFunc(0, src, func(x uint32) bool { return x%3 == 0 })
-		if len(out) == 0 {
-			b.Fatal("empty pack")
-		}
-	}
-}

@@ -92,26 +92,6 @@ func Pack[T any](p int, src []T, keep []bool) []T {
 	return out
 }
 
-// PackFunc copies the elements of src satisfying keep into a fresh slice,
-// preserving order, using p workers. keep must be pure (it is evaluated
-// twice per element: count pass and copy pass).
-func PackFunc[T any](p int, src []T, keep func(T) bool) []T {
-	n := len(src)
-	offsets := CountingScan(p, n, func(i int) int64 {
-		if keep(src[i]) {
-			return 1
-		}
-		return 0
-	})
-	out := make([]T, offsets[n])
-	ForEach(p, n, 4096, func(i int) {
-		if keep(src[i]) {
-			out[offsets[i]] = src[i]
-		}
-	})
-	return out
-}
-
 // PackIndex returns the indices i in [0, n) for which keep(i) is true, in
 // increasing order, computed with p workers.
 func PackIndex(p, n int, keep func(i int) bool) []uint32 {

@@ -17,7 +17,10 @@
 // with very different latency profiles per input — by racing a backup
 // algorithm against a slow primary after an adaptive delay learned from
 // per-algorithm latency EWMAs keyed by graph-shape bucket; the first sound
-// forest wins and the loser is cancelled. A primary cancelled because its
+// forest wins and the loser is cancelled. Unless configured otherwise, the
+// portfolio is the paper's two kernels: LLP-Boruvka (Algorithm 6) leads on
+// every graph and the sequential LLP-Prim (Algorithm 5) is its hedge; the
+// learned means reorder them per shape. A primary cancelled because its
 // backup won records its elapsed time as a lower bound on its latency: it
 // seeds an empty cell and raises a mean it exceeds, so a primary that
 // always loses its race is swapped out instead of running first forever

@@ -20,11 +20,11 @@ import (
 // consecutive failures with a 5s cooldown, a concurrency gate of
 // 2×GOMAXPROCS, no memory budget, and no sampled minimality verification.
 type Config struct {
-	// Primary and Backup name the portfolio. Empty = auto: the runner picks
-	// by graph density (very dense graphs lead with the semiring sparse-
-	// matrix backend, dense with the Prim family, sparse with the Boruvka
-	// family — the paper's §VII split) and reorders by learned per-bucket
-	// latency once it has samples.
+	// Primary and Backup name the portfolio. An empty Primary is
+	// llp-boruvka; an empty Backup is llp-prim when the primary is
+	// llp-boruvka, and llp-boruvka for any other primary. When either is
+	// left empty, the runner swaps the two once its learned per-bucket
+	// latencies say the backup is faster on graphs of that shape.
 	Primary mst.Algorithm
 	Backup  mst.Algorithm
 
@@ -267,41 +267,21 @@ func (c countsOnly) Gauge(g obs.Gauge, v int64)     { c.col.Gauge(g, v) }
 // trace attaches needs the marks to segment its round summary.
 func (c countsOnly) Round(r int64) { obs.MarkRound(c.col, r) }
 
-// primFamily reports whether alg belongs to the Prim family (heap-driven,
-// the paper's dense-graph winners).
-func primFamily(alg mst.Algorithm) bool {
-	switch alg {
-	case mst.AlgPrim, mst.AlgPrimLazy, mst.AlgLLPPrim, mst.AlgLLPPrimParallel, mst.AlgLLPPrimAsync:
-		return true
-	}
-	return false
-}
-
-// pick chooses the portfolio order for g: configured algorithms when set,
-// else a density heuristic (very dense → the semiring sparse-matrix
-// backend, whose regular row streaming wins exactly when rows are long;
-// dense → Prim family first; sparse → Boruvka family first, the §VII
-// split), then a swap when the learned per-bucket latencies say the backup
-// is actually faster here.
-func (r *Runner) pick(g *graph.CSR, bucket int) (primary, backup mst.Algorithm) {
+// pick chooses the portfolio order for a graph in bucket: the configured
+// algorithms when set, else LLP-Boruvka (Algorithm 6) hedged by the
+// sequential LLP-Prim (Algorithm 5), which polls its context as it explores
+// and so stops soon after it loses (see Config.Primary). When either side
+// was left to auto, the learned per-bucket means swap the two if the backup
+// is faster here.
+func (r *Runner) pick(bucket int) (primary, backup mst.Algorithm) {
 	primary, backup = r.cfg.Primary, r.cfg.Backup
-	dense := g.NumEdges() >= 4*g.NumVertices()
-	veryDense := g.NumEdges() >= 16*g.NumVertices()
 	if primary == "" {
-		switch {
-		case veryDense:
-			primary = mst.AlgSemiringBoruvka
-		case dense:
-			primary = mst.AlgLLPPrimAsync
-		default:
-			primary = mst.AlgLLPBoruvka
-		}
+		primary = mst.AlgLLPBoruvka
 	}
 	if backup == "" {
-		if primFamily(primary) {
-			backup = mst.AlgLLPBoruvka
-		} else {
-			backup = mst.AlgLLPPrimAsync
+		backup = mst.AlgLLPBoruvka
+		if primary == mst.AlgLLPBoruvka {
+			backup = mst.AlgLLPPrim
 		}
 	}
 	if backup == primary {
@@ -413,7 +393,7 @@ func (r *Runner) solve(ctx context.Context, sp obs.Span, g *graph.CSR) (Result, 
 	r.solves.Add(1)
 
 	bucket := sizeBucket(g)
-	primary, backup := r.pick(g, bucket)
+	primary, backup := r.pick(bucket)
 	if sp.Valid() {
 		sp.SetAttr("primary", string(primary))
 		if backup != "" {

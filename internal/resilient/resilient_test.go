@@ -243,29 +243,30 @@ func oracle(t *testing.T, g *graph.CSR) *mst.Forest {
 	return f
 }
 
-// TestPickDensitySplit pins the auto portfolio's density heuristic: sparse
-// graphs lead with LLP-Boruvka, dense with LLP-Prim-Async, and very dense
-// (m >= 16n) with the semiring sparse-matrix backend; the backup always
-// comes from the other family. Explicit configuration overrides all of it.
-func TestPickDensitySplit(t *testing.T) {
+// TestPickPortfolio pins the auto portfolio: every graph, sparse, dense or
+// very dense (m >= 16n), gets LLP-Boruvka first and the sequential LLP-Prim
+// as its hedge. A primary-only config gets LLP-Boruvka as its complement,
+// and a full explicit config overrides all of it.
+func TestPickPortfolio(t *testing.T) {
 	r := New(Config{})
-	cases := []struct {
-		name            string
-		g               *graph.CSR
-		primary, backup mst.Algorithm
-	}{
-		{"sparse", gen.ErdosRenyi(1, 400, 900, gen.WeightUniform, 3), mst.AlgLLPBoruvka, mst.AlgLLPPrimAsync},
-		{"dense", gen.ErdosRenyi(1, 200, 1600, gen.WeightUniform, 4), mst.AlgLLPPrimAsync, mst.AlgLLPBoruvka},
-		{"very-dense", gen.ErdosRenyi(1, 100, 3200, gen.WeightUniform, 5), mst.AlgSemiringBoruvka, mst.AlgLLPPrimAsync},
+	graphs := map[string]*graph.CSR{
+		"sparse":     gen.ErdosRenyi(1, 400, 900, gen.WeightUniform, 3),
+		"dense":      gen.ErdosRenyi(1, 200, 1600, gen.WeightUniform, 4),
+		"very-dense": gen.ErdosRenyi(1, 100, 3200, gen.WeightUniform, 5),
 	}
-	for _, tc := range cases {
-		primary, backup := r.pick(tc.g, sizeBucket(tc.g))
-		if primary != tc.primary || backup != tc.backup {
-			t.Errorf("%s: pick = (%s, %s), want (%s, %s)", tc.name, primary, backup, tc.primary, tc.backup)
+	for name, g := range graphs {
+		primary, backup := r.pick(sizeBucket(g))
+		if primary != mst.AlgLLPBoruvka || backup != mst.AlgLLPPrim {
+			t.Errorf("%s: pick = (%s, %s), want (llp-boruvka, llp-prim)", name, primary, backup)
 		}
 	}
+	dense := sizeBucket(graphs["very-dense"])
+	primaryOnly := New(Config{Primary: mst.AlgPrim})
+	if primary, backup := primaryOnly.pick(dense); primary != mst.AlgPrim || backup != mst.AlgLLPBoruvka {
+		t.Errorf("primary-only pick = (%s, %s), want (prim, llp-boruvka)", primary, backup)
+	}
 	cfg := New(Config{Primary: mst.AlgKruskal, Backup: mst.AlgPrim})
-	if primary, backup := cfg.pick(cases[2].g, 0); primary != mst.AlgKruskal || backup != mst.AlgPrim {
+	if primary, backup := cfg.pick(dense); primary != mst.AlgKruskal || backup != mst.AlgPrim {
 		t.Errorf("configured pick = (%s, %s), want (kruskal, prim)", primary, backup)
 	}
 }
@@ -502,8 +503,8 @@ func TestHedgeSlowPrimaryBackupWins(t *testing.T) {
 // set far above the fast algorithm's latency on this graph, even under the
 // race detector on a loaded host.
 func TestHedgeLoserSamplesSwapPrimary(t *testing.T) {
-	g := gen.ErdosRenyi(1, 400, 900, gen.WeightUniform, 3) // sparse: llp-boruvka leads
-	stalled, fast := mst.AlgLLPBoruvka, mst.AlgLLPPrimAsync
+	g := gen.ErdosRenyi(1, 400, 900, gen.WeightUniform, 3) // a cold pick leads with llp-boruvka
+	stalled, fast := mst.AlgLLPBoruvka, mst.AlgLLPPrim
 	r := New(Config{
 		Workers:    2,
 		HedgeFloor: 100 * time.Millisecond,
@@ -517,7 +518,7 @@ func TestHedgeLoserSamplesSwapPrimary(t *testing.T) {
 			},
 		},
 	})
-	if primary, _ := r.pick(g, sizeBucket(g)); primary != stalled {
+	if primary, _ := r.pick(sizeBucket(g)); primary != stalled {
 		t.Fatalf("cold pick leads with %s, want %s", primary, stalled)
 	}
 	want := oracle(t, g)
@@ -551,8 +552,8 @@ func TestHedgeLoserSamplesSwapPrimary(t *testing.T) {
 // The primary's stall is twice the hedge floor, so the cold solve launches
 // the backup and cancels it about one floor later.
 func TestCancelledBackupNeverSwapsPrimary(t *testing.T) {
-	g := gen.ErdosRenyi(1, 400, 900, gen.WeightUniform, 3) // sparse: llp-boruvka leads
-	primary, backup := mst.AlgLLPBoruvka, mst.AlgLLPPrimAsync
+	g := gen.ErdosRenyi(1, 400, 900, gen.WeightUniform, 3) // a cold pick leads with llp-boruvka
+	primary, backup := mst.AlgLLPBoruvka, mst.AlgLLPPrim
 	r := New(Config{
 		Workers:    2,
 		HedgeFloor: 20 * time.Millisecond,
@@ -568,7 +569,7 @@ func TestCancelledBackupNeverSwapsPrimary(t *testing.T) {
 		},
 	})
 	bucket := sizeBucket(g)
-	if p, _ := r.pick(g, bucket); p != primary {
+	if p, _ := r.pick(bucket); p != primary {
 		t.Fatalf("cold pick leads with %s, want %s", p, primary)
 	}
 	want := oracle(t, g)

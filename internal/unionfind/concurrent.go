@@ -7,8 +7,8 @@ import "sync/atomic"
 // parent with a *larger* id, installed by compare-and-swap. That monotone
 // rule makes the structure linearizable without ranks (Goel et al. / the
 // simplified Jayanti–Tarjan scheme); path halving keeps chains short in
-// practice. Used by parallel Kruskal and by the cross-check harness against
-// the sequential UF.
+// practice. Used by parallel Boruvka's hooking step (through the mst
+// Workspace) and by the cross-check harness against the sequential UF.
 type Concurrent struct {
 	parent []atomic.Uint32
 }
@@ -59,23 +59,6 @@ func (c *Concurrent) Union(a, b uint32) bool {
 			return true
 		}
 		// ra stopped being a root underneath us; retry with fresh roots.
-	}
-}
-
-// Same reports whether a and b are currently in the same set. With
-// concurrent unions in flight the answer is transient, as with any
-// concurrent set structure; once all unions complete it is exact.
-func (c *Concurrent) Same(a, b uint32) bool {
-	for {
-		ra, rb := c.Find(a), c.Find(b)
-		if ra == rb {
-			return true
-		}
-		// ra may have been linked while we computed rb; confirm it is still
-		// a root, otherwise retry.
-		if c.parent[ra].Load() == ra {
-			return false
-		}
 	}
 }
 

@@ -111,7 +111,7 @@ func TestConcurrentSequentialSemantics(t *testing.T) {
 	}
 	for x := uint32(0); x < n; x++ {
 		for y := uint32(0); y < n; y += 7 {
-			if c.Same(x, y) != u.Same(x, y) {
+			if (c.Find(x) == c.Find(y)) != u.Same(x, y) {
 				t.Fatalf("Same(%d,%d) disagrees", x, y)
 			}
 		}
@@ -193,7 +193,7 @@ func TestConcurrentReset(t *testing.T) {
 
 	// Reset to the same size: all prior merges forgotten.
 	c.Reset(8)
-	if c.Count() != 8 || c.Same(0, 1) || c.Same(2, 3) {
+	if c.Count() != 8 || c.Find(0) == c.Find(1) || c.Find(2) == c.Find(3) {
 		t.Fatal("Reset(8) did not restore singletons")
 	}
 
@@ -209,7 +209,7 @@ func TestConcurrentReset(t *testing.T) {
 		t.Fatalf("after Reset(100): Len=%d Count=%d", c.Len(), c.Count())
 	}
 	c.Union(50, 99)
-	if !c.Same(50, 99) || c.Same(0, 50) {
+	if c.Find(50) != c.Find(99) || c.Find(0) == c.Find(50) {
 		t.Fatal("union after grow Reset broken")
 	}
 

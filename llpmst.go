@@ -2,7 +2,7 @@
 // parallel algorithms of "Parallel Minimum Spanning Tree Algorithms via
 // Lattice Linear Predicate Detection" (Alves & Garg, 2022): LLP-Prim and
 // LLP-Boruvka, alongside the classical baselines they are measured against
-// (Prim, Boruvka, parallel Boruvka, Kruskal, Filter-Kruskal).
+// (Prim, Boruvka, parallel Boruvka, Kruskal).
 //
 // # Quick start
 //
@@ -15,11 +15,11 @@
 //
 // # Choosing an algorithm
 //
-// MinimumSpanningForest picks per the paper's conclusion: LLP-Prim for one
-// worker (it beats Prim single-threaded by reducing heap work), LLP-Boruvka
-// when several workers are available (Boruvka-family algorithms scale
-// near-linearly and dominate at high core counts). Call a specific
-// algorithm directly, or Run with an Algorithm constant, to override.
+// MinimumSpanningForest runs LLP-Boruvka at every worker count: on this
+// implementation it is the fastest backend on every measured input family,
+// at one worker and at two (BENCH_perf.json), so no single-worker switch to
+// LLP-Prim pays. Call a specific algorithm directly, or Run with an
+// Algorithm constant, to override.
 //
 // All algorithms return the same, unique forest: ties between equal weights
 // are broken by canonical edge id, the paper's "make weights unique by
@@ -36,9 +36,7 @@ import (
 	"context"
 	"io"
 	"os"
-	"slices"
 
-	"llpmst/internal/dist"
 	"llpmst/internal/fault"
 	"llpmst/internal/graph"
 	"llpmst/internal/llp"
@@ -99,8 +97,6 @@ const (
 	AlgLLPBoruvka      = mst.AlgLLPBoruvka
 	AlgSemiringBoruvka = mst.AlgSemiringBoruvka
 	AlgKruskal         = mst.AlgKruskal
-	AlgFilterKruskal   = mst.AlgFilterKruskal
-	AlgKKT             = mst.AlgKKT
 )
 
 // Algorithms lists every implemented algorithm.
@@ -119,11 +115,10 @@ func NewGraphWorkers(workers, n int, edges []Edge) (*Graph, error) {
 	return graph.FromEdges(workers, n, edges)
 }
 
-// MinimumSpanningForest computes the minimum spanning forest with the
-// algorithm the paper's conclusion recommends for the configured worker
-// count: LLP-Prim for a single worker, LLP-Boruvka otherwise.
+// MinimumSpanningForest computes the minimum spanning forest with
+// LLP-Boruvka (Algorithm 6) at the configured worker count.
 func MinimumSpanningForest(g *Graph, opts Options) *Forest {
-	f, _ := minimumSpanningForest(g, opts)
+	f, _ := mst.LLPBoruvka(g, opts)
 	return f
 }
 
@@ -134,13 +129,6 @@ func MinimumSpanningForest(g *Graph, opts Options) *Forest {
 // errors.Is(err, context.Canceled) or context.DeadlineExceeded.
 func MinimumSpanningForestCtx(ctx context.Context, g *Graph, opts Options) (*Forest, error) {
 	opts.Ctx = ctx
-	return minimumSpanningForest(g, opts)
-}
-
-func minimumSpanningForest(g *Graph, opts Options) (*Forest, error) {
-	if opts.Workers == 1 {
-		return mst.LLPPrim(g, opts)
-	}
 	return mst.LLPBoruvka(g, opts)
 }
 
@@ -183,21 +171,11 @@ func LLPBoruvka(g *Graph, opts Options) *Forest { f, _ := mst.LLPBoruvka(g, opts
 // SemiringBoruvka runs the sparse-matrix (GraphBLAS-style) Boruvka backend:
 // per-round min-edge selection as a min-plus semiring SpMV over the packed
 // (weight, id) keys, with no atomics in the row-reduction loop. It produces
-// the same unique MSF as every other algorithm here, and is the portfolio's
-// preferred backend on very dense graphs.
+// the same unique MSF as every other algorithm here.
 func SemiringBoruvka(g *Graph, opts Options) *Forest { f, _ := mst.SemiringBoruvka(g, opts); return f }
 
 // Kruskal runs the classical Kruskal's algorithm.
 func Kruskal(g *Graph) *Forest { return mst.Kruskal(g) }
-
-// KKT runs the Karger-Klein-Tarjan randomized expected-linear-time MSF
-// algorithm (the §III lineage the paper targets for future comparison).
-// Reproducible via Options.Seed; the output is the same canonical forest
-// for every seed.
-func KKT(g *Graph, opts Options) *Forest { return mst.KKT(g, opts) }
-
-// FilterKruskal runs the parallel filter-Kruskal variant.
-func FilterKruskal(g *Graph, opts Options) *Forest { return mst.FilterKruskal(g, opts) }
 
 // Observer receives runtime observability events from a run: phase spans,
 // scheduler counters (pushes, pops, steals), contraction-round and
@@ -345,39 +323,17 @@ type IncrementalMSF = mst.Incremental
 // maintained forest is always the canonical MSF of everything inserted.
 func NewIncrementalMSF(n int) *IncrementalMSF { return mst.NewIncremental(n) }
 
-// DistSimStats reports a distributed run's costs: Boruvka phases,
-// synchronous message rounds, and total messages.
-type DistSimStats = dist.SimStats
-
-// DistributedMSF computes the minimum spanning forest with a GHS-style
-// protocol on a simulated synchronous message-passing network: nodes know
-// only their incident edges and communicate over them. Returns the chosen
-// edge ids (sorted) and the simulation's phase/round/message counts. The
-// elected forest is the same canonical MSF every other algorithm returns.
-func DistributedMSF(g *Graph) ([]uint32, DistSimStats, error) {
-	ids, stats, err := dist.MSF(g)
-	if err != nil {
-		return nil, stats, err
-	}
-	slices.Sort(ids)
-	return ids, stats, nil
-}
-
-// FaultPlan schedules what goes wrong on a faulty distributed run: per-arc
-// message drop/duplicate/delay/reorder probabilities (FaultProbs) and node
-// crash schedules (FaultCrash). The zero plan injects nothing. Identical
-// plans (seed included) reproduce identical runs.
+// FaultPlan is a seeded fault schedule: per-arc drop/duplicate/delay
+// probabilities (FaultProbs) and crash schedules (FaultCrash). The zero
+// plan injects nothing, and identical plans (seed included) reproduce
+// identical fault streams. ResilientChaos.Plan takes one: each arc is one
+// algorithm of the portfolio (resilient.ChaosArc), Drop panics its leg and
+// Delay stalls it.
 type (
 	FaultPlan  = fault.Plan
 	FaultProbs = fault.Probs
 	FaultCrash = fault.Crash
 )
-
-// PartitionError is returned by DistributedMSFFaulty when crash-stop
-// failures make part of the graph permanently unreachable. It names the
-// dead nodes, the live vertices stranded with them, and the sound partial
-// forest elected before the partition.
-type PartitionError = dist.PartitionError
 
 // PanicError is the typed error a worker panic inside the parallel runtime
 // is converted to: it carries the panic value, the work-item index, and the
@@ -462,24 +418,9 @@ var (
 // budget and quotas.
 func NewGraphRegistry(cfg GraphRegistryConfig) *GraphRegistry { return registry.New(cfg) }
 
-// DistributedMSFFaulty is DistributedMSF over a lossy network driven by
-// plan: messages drop, duplicate, arrive late or reordered, and nodes crash
-// per the schedule, while a reliable transport (sequence numbers, acks,
-// retransmission with backoff) masks the damage. Any schedule that
-// eventually delivers retransmissions and has no permanent crash yields
-// exactly the canonical MSF. Permanent crashes partition the run: the
-// result is a sound partial forest and the error unwraps to a
-// *PartitionError. DistSimStats additionally reports retransmissions and
-// injected fault counts.
-func DistributedMSFFaulty(g *Graph, plan FaultPlan) ([]uint32, DistSimStats, error) {
-	ids, stats, err := dist.RunGHSFaulty(context.Background(), g, plan)
-	slices.Sort(ids)
-	return ids, stats, err
-}
-
 // ForestFromEdgeIDs materializes a Forest from raw edge ids, e.g. the ids a
-// distributed run elects. The ids are trusted to form a forest; use
-// CheckForest to verify.
+// server reply lists. The ids are trusted to form a forest; use CheckForest
+// to verify.
 func ForestFromEdgeIDs(g *Graph, ids []uint32) *Forest {
 	return mst.ForestFromEdgeIDs(g, ids)
 }

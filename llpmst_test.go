@@ -40,13 +40,12 @@ func TestAllPublicAlgorithmsAgree(t *testing.T) {
 	g := GenerateRoadNetwork(24, 24, 0.25, 3)
 	oracle := Kruskal(g)
 	forests := map[string]*Forest{
-		"prim":           Prim(g),
-		"llp-prim":       LLPPrim(g, Options{}),
-		"llp-prim-par":   LLPPrimParallel(g, Options{Workers: 3}),
-		"boruvka":        Boruvka(g),
-		"par-boruvka":    ParallelBoruvka(g, Options{Workers: 3}),
-		"llp-boruvka":    LLPBoruvka(g, Options{Workers: 3}),
-		"filter-kruskal": FilterKruskal(g, Options{Workers: 3}),
+		"prim":         Prim(g),
+		"llp-prim":     LLPPrim(g, Options{}),
+		"llp-prim-par": LLPPrimParallel(g, Options{Workers: 3}),
+		"boruvka":      Boruvka(g),
+		"par-boruvka":  ParallelBoruvka(g, Options{Workers: 3}),
+		"llp-boruvka":  LLPBoruvka(g, Options{Workers: 3}),
 	}
 	for name, f := range forests {
 		if !f.Equal(oracle) {
